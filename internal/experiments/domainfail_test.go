@@ -7,9 +7,8 @@ import (
 
 // TestDomainFailTiny runs the correlated-failure experiment at tiny scale:
 // the protected arm (spread placement + scarcity triage + re-spread) must
-// pass the restoration bar while the bare arm eats the outages, and the
-// whole three-arm experiment must render byte-identically on a re-run —
-// the same-seed determinism guarantee the chaos harness promises.
+// pass the restoration bar while the bare arm eats the outages.
+// TestFaultTablesGolden pins the rendered tables byte for byte.
 func TestDomainFailTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a domain-outage storm against three deployments")
@@ -41,14 +40,4 @@ func TestDomainFailTiny(t *testing.T) {
 		}
 	}
 
-	again, err := DomainFail(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tables {
-		if tables[i].String() != again[i].String() {
-			t.Fatalf("same-seed experiment rendered differently on re-run:\n--- first\n%s\n--- second\n%s",
-				tables[i], again[i])
-		}
-	}
 }
