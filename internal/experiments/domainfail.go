@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/advisor"
@@ -10,67 +9,10 @@ import (
 	"repro/internal/master"
 	"repro/internal/recovery"
 	"repro/internal/recovery/chaos"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// recoveryBoundSubPlan picks the n groups with the smallest per-node data
-// shard (ties: more members, then plan order). A domain outage is a recovery
-// experiment: the per-node shard fixes the Table 5.1 reload that bounds how
-// long a casualty stays degraded, and the whale groups consolidation produces
-// (multi-TB shards packed onto two-node instances) would spend days
-// reloading — far past any storm horizon — drowning the placement signal in
-// reload tail no matter how the arms place or triage. Bounding the shard
-// keeps repair on the storm's timescale, matching the paper's own
-// ~hundred-GB-per-node Table 5.1 loads.
-func recoveryBoundSubPlan(plan *advisor.Plan, logs []*workload.TenantLog, n int) (*advisor.Plan, []*workload.TenantLog) {
-	data := map[string]float64{}
-	for _, tl := range logs {
-		data[tl.Tenant.ID] = tl.Tenant.DataGB
-	}
-	type cand struct {
-		gi      int
-		share   float64
-		members int
-	}
-	cands := make([]cand, 0, len(plan.Groups))
-	for i := range plan.Groups {
-		pg := &plan.Groups[i]
-		var gb float64
-		for _, id := range pg.TenantIDs {
-			gb += data[id]
-		}
-		cands = append(cands, cand{i, gb / float64(pg.Design.N1), len(pg.TenantIDs)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].share != cands[j].share {
-			return cands[i].share < cands[j].share
-		}
-		if cands[i].members != cands[j].members {
-			return cands[i].members > cands[j].members
-		}
-		return cands[i].gi < cands[j].gi
-	})
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	subPlan := &advisor.Plan{Config: plan.Config}
-	members := map[string]bool{}
-	for _, c := range cands {
-		pg := plan.Groups[c.gi]
-		subPlan.Groups = append(subPlan.Groups, pg)
-		for _, id := range pg.TenantIDs {
-			members[id] = true
-		}
-	}
-	var subLogs []*workload.TenantLog
-	for _, tl := range logs {
-		if members[tl.Tenant.ID] {
-			subLogs = append(subLogs, tl)
-		}
-	}
-	return subPlan, subLogs
-}
 
 // DomainFail measures correlated-failure resilience: the same seeded schedule
 // of whole-domain outages replays three times against identical tenants on a
@@ -83,115 +25,120 @@ func recoveryBoundSubPlan(plan *advisor.Plan, logs []*workload.TenantLog, n int)
 // restoration bar: protected attainment within two points of no-fault, zero
 // dropped queries everywhere, every pool leak-free.
 func DomainFail(env *Env) ([]*Table, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
 	const domains = 3
 	acfg := advisor.DefaultConfig()
 	acfg.FailureDomains = domains
-	adv, err := advisor.New(acfg)
+	plan, logs, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := adv.Plan(logs, env.Horizon())
-	if err != nil {
-		return nil, err
+	sub, subLogs := restrictPlan(plan, logs, recoveryBoundGroups(plan, logs, env.Scale.ReplayGroups))
+	cfg := chaos.DefaultDomainFailConfig()
+	cfg.Seed = env.Seed
+	var outages []*chaos.Outages
+	sc := &faultScenario{
+		plan: sub,
+		logs: subLogs,
+		pool: func(used int) *cluster.Pool { return cluster.NewPoolDomains(used+(used+4)/5, domains) },
+		// Recoveries queue behind the outage and pay Table 5.1 reloads that
+		// run for hours per node on the largest groups.
+		replay: replay.Options{To: sim.Day, SLASlack: stormSLASlack, DrainSlack: 3 * 24 * time.Hour},
+		setup: func(dep *master.Deployment, opts *replay.Options, faulted bool) ([]*workload.TenantLog, error) {
+			o := &chaos.Outages{Schedule: []chaos.DomainOutage{}}
+			if faulted {
+				var err error
+				if o.Schedule, err = chaos.BuildOutages(dep.Pool().Domains(), opts.From, opts.To, cfg); err != nil {
+					return nil, err
+				}
+			}
+			outages = append(outages, o)
+			opts.Injectors = []replay.Injector{o}
+			return chaos.MemberLogs(subLogs, dep.Groups()...), nil
+		},
 	}
-	subPlan, subLogs := recoveryBoundSubPlan(plan, logs, env.Scale.ReplayGroups)
-
-	// One storm config for every arm; an explicit empty schedule turns the
-	// injection off for the baseline while keeping the replay identical.
-	run := func(spread, triage bool, sched []chaos.DomainOutage) (*chaos.DomainFailResult, error) {
-		eng := sim.NewEngine()
-		used := subPlan.NodesUsed()
-		pool := cluster.NewPoolDomains(used+(used+4)/5, domains)
+	// The protected posture spreads placement, triages scarce capacity, and
+	// re-replicates a casualty's shard from its surviving peers in
+	// parallel; bare keeps classic placement and the single-stream reload.
+	posture := func(protect bool) master.Options {
 		rcfg := recovery.DefaultConfig()
-		// The protected posture also re-replicates a casualty's shard from
-		// its surviving peers in parallel; bare keeps the classic
-		// single-stream reload.
-		rcfg.ParallelReload = spread
-		opts := master.Options{Immediate: true, Recovery: &rcfg, NoSpread: !spread}
-		if triage {
+		rcfg.ParallelReload = protect
+		opts := master.Options{Immediate: true, Recovery: &rcfg, NoSpread: !protect}
+		if protect {
 			tc := recovery.DefaultTriageConfig()
 			opts.Triage = &tc
 		}
-		m := master.New(eng, pool, opts)
-		dep, err := m.Deploy(subPlan, Tenants(subLogs))
-		if err != nil {
-			return nil, err
-		}
-		cfg := chaos.DefaultDomainFailConfig()
-		cfg.Seed = env.Seed
-		cfg.From, cfg.To = 0, sim.Day
-		// Recoveries queue behind the outage and pay Table 5.1 reloads that
-		// run for hours per node on the largest groups.
-		cfg.DrainSlack = 3 * 24 * time.Hour
-		cfg.Schedule = sched
-		return chaos.RunDomainFail(eng, dep, env.Cat, subLogs, cfg)
+		return opts
 	}
-
-	baseline, err := run(true, true, []chaos.DomainOutage{})
+	runs, err := sc.runArms(env.Cat,
+		faultArm{name: "baseline", posture: posture(true)},
+		faultArm{name: "bare", posture: posture(false), faulted: true},
+		faultArm{name: "protected", posture: posture(true), faulted: true})
 	if err != nil {
 		return nil, err
 	}
-	bare, err := run(false, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	protected, err := run(true, true, nil)
-	if err != nil {
-		return nil, err
-	}
+	baseline, protected := runs[0], runs[2]
 
 	schedule := &Table{
 		Title:   fmt.Sprintf("Correlated failure — injected domain outages (%d domains, seed %d)", domains, env.Seed),
 		Columns: []string{"at", "domain", "duration"},
 	}
-	for _, o := range bare.Schedule {
+	for _, o := range outages[1].Schedule {
 		schedule.AddRow(o.At.String(), o.Domain, o.Duration.String())
 	}
 
 	verdict := "PASS"
-	if err := baseline.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: baseline: %v", err)
-	} else if err := bare.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: bare: %v", err)
-	} else if err := protected.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: protected: %v", err)
-	} else if protected.Attainment < baseline.Attainment-0.02 {
+	if err := verifyOutages(runs, outages); err != nil {
+		verdict = fmt.Sprintf("FAIL: %v", err)
+	} else if protected.out.Attainment < baseline.out.Attainment-0.02 {
 		verdict = fmt.Sprintf("FAIL: protected attainment %.4f more than 2 points below no-fault %.4f",
-			protected.Attainment, baseline.Attainment)
-	} else if protected.CollapsedGroups != 0 {
-		verdict = fmt.Sprintf("FAIL: %d protected groups still collapsed onto one domain", protected.CollapsedGroups)
+			protected.out.Attainment, baseline.out.Attainment)
+	} else if protected.out.Collapsed != 0 {
+		verdict = fmt.Sprintf("FAIL: %d protected groups still collapsed onto one domain", protected.out.Collapsed)
 	}
 
+	triage := func(r *faultRun) string {
+		tri := r.dep.Triage()
+		if tri == nil {
+			return "—"
+		}
+		enq, granted := tri.Stats()
+		return fmt.Sprintf("%d/%d", enq, granted)
+	}
 	outcome := &Table{
 		Title: fmt.Sprintf("Correlated failure — bare vs spread+triage (%d groups, seed %d)",
-			len(subPlan.Groups), env.Seed),
+			len(sub.Groups), env.Seed),
 		Columns: []string{"metric", "no-fault", "bare", "protected"},
 	}
-	outcome.AddRow("per-query SLA attainment", pct(baseline.Attainment), pct(bare.Attainment), pct(protected.Attainment))
-	outcome.AddRow("worst member attainment", pct(baseline.MinAttainment), pct(bare.MinAttainment), pct(protected.MinAttainment))
-	outcome.AddRow("min RT-TTP", fmt.Sprintf("%.4f", baseline.MinRTTTP),
-		fmt.Sprintf("%.4f", bare.MinRTTTP), fmt.Sprintf("%.4f", protected.MinRTTTP))
-	outcome.AddRow("node casualties", baseline.Casualties, bare.Casualties, protected.Casualties)
-	outcome.AddRow("instances quarantined", baseline.Quarantines, bare.Quarantines, protected.Quarantines)
-	outcome.AddRow("dropped queries", baseline.Errors, bare.Errors, protected.Errors)
-	outcome.AddRow("recovery lifecycles (triaged)",
-		fmt.Sprintf("%d (%d)", baseline.Lifecycles, baseline.Triaged),
-		fmt.Sprintf("%d (%d)", bare.Lifecycles, bare.Triaged),
-		fmt.Sprintf("%d (%d)", protected.Lifecycles, protected.Triaged))
-	outcome.AddRow("triage claims enqueued/granted",
-		fmt.Sprintf("%d/%d", baseline.TriageEnqueued, baseline.TriageGranted),
-		"—",
-		fmt.Sprintf("%d/%d", protected.TriageEnqueued, protected.TriageGranted))
-	outcome.AddRow("re-spread cutovers", baseline.Respreads, bare.Respreads, protected.Respreads)
-	outcome.AddRow("groups collapsed at end", baseline.CollapsedGroups, bare.CollapsedGroups, protected.CollapsedGroups)
-	outcome.AddRow("pool active/expected",
-		fmt.Sprintf("%d/%d", baseline.ActiveNodes, baseline.ExpectedActive),
-		fmt.Sprintf("%d/%d", bare.ActiveNodes, bare.ExpectedActive),
-		fmt.Sprintf("%d/%d", protected.ActiveNodes, protected.ExpectedActive))
+	row := func(metric string, cell func(i int, r *faultRun) any) { armRow(outcome, runs, metric, cell) }
+	row("per-query SLA attainment", func(_ int, r *faultRun) any { return pct(r.out.Attainment) })
+	row("worst member attainment", func(_ int, r *faultRun) any { return pct(r.out.WorstAttainment) })
+	row("min RT-TTP", func(_ int, r *faultRun) any { return fmt.Sprintf("%.4f", r.out.MinRTTTP) })
+	row("node casualties", func(i int, _ *faultRun) any { return outages[i].Casualties })
+	row("instances quarantined", func(i int, _ *faultRun) any { return outages[i].Quarantines })
+	row("dropped queries", func(_ int, r *faultRun) any { return r.out.Dropped })
+	row("recovery lifecycles (triaged)", func(_ int, r *faultRun) any {
+		return fmt.Sprintf("%d (%d)", r.out.Lifecycles, r.out.Triaged)
+	})
+	row("triage claims enqueued/granted", func(_ int, r *faultRun) any { return triage(r) })
+	row("re-spread cutovers", func(_ int, r *faultRun) any { return r.out.Respreads })
+	row("groups collapsed at end", func(_ int, r *faultRun) any { return r.out.Collapsed })
+	row("pool active/expected", func(_ int, r *faultRun) any {
+		return fmt.Sprintf("%d/%d", r.out.ActiveNodes, r.out.ExpectedActive)
+	})
 	outcome.AddRow("verdict", "", "", verdict)
 	return []*Table{schedule, outcome}, nil
+}
+
+// verifyOutages checks, arm by arm, that every outage landed and the
+// shared end-state bar holds.
+func verifyOutages(runs []*faultRun, outages []*chaos.Outages) error {
+	for i, r := range runs {
+		if len(outages[i].Errs) > 0 {
+			return fmt.Errorf("%s: injection errors: %v", r.name, outages[i].Errs)
+		}
+		if err := r.out.Verify(); err != nil {
+			return fmt.Errorf("%s: %w", r.name, err)
+		}
+	}
+	return nil
 }

@@ -107,17 +107,9 @@ type driftWorld struct {
 // groups become joiners, members of the second-picked group become leavers,
 // and the largest group's first member is the take-over victim.
 func buildDriftWorld(env *Env, cfg DriftConfig) (*driftWorld, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
 	acfg := advisor.DefaultConfig()
 	acfg.SolverWorkers = SolverWorkers
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
+	plan, logs, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/scaling"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Fig77Result carries the elastic-scaling experiment's two runs (scaling
@@ -38,56 +37,35 @@ func (r *Fig77Result) Tables() []*Table {
 // over-active tenant is carved out onto a dedicated MPPDB and RT-TTP
 // recovers).
 func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
 	acfg := advisor.DefaultConfig()
 	acfg.SolverWorkers = SolverWorkers
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
+	plan, logs, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err
 	}
 	// Pick a multi-tenant 4-node group (the paper's group has 14 four-node
 	// tenants); fall back to the biggest group of any size.
-	var pick *advisor.PlannedGroup
+	pick := -1
 	for i := range plan.Groups {
-		g := &plan.Groups[i]
-		if g.Design.N1 == 4 && len(g.TenantIDs) >= 4 {
-			if pick == nil || len(g.TenantIDs) > len(pick.TenantIDs) {
-				pick = g
-			}
+		if n := len(plan.Groups[i].TenantIDs); plan.Groups[i].Design.N1 == 4 && n >= 4 &&
+			(pick < 0 || n > len(plan.Groups[pick].TenantIDs)) {
+			pick = i
 		}
 	}
-	if pick == nil {
+	if pick < 0 {
 		for i := range plan.Groups {
-			g := &plan.Groups[i]
-			if pick == nil || len(g.TenantIDs) > len(pick.TenantIDs) {
-				pick = g
+			if pick < 0 || len(plan.Groups[i].TenantIDs) > len(plan.Groups[pick].TenantIDs) {
+				pick = i
 			}
 		}
 	}
-	if pick == nil {
+	if pick < 0 {
 		return nil, fmt.Errorf("fig77: the plan has no groups")
 	}
-
 	// Restrict the world to just this group.
-	subPlan := &advisor.Plan{Config: plan.Config, Groups: []advisor.PlannedGroup{*pick}}
-	inGroup := map[string]bool{}
-	for _, id := range pick.TenantIDs {
-		inGroup[id] = true
-	}
-	var subLogs []*workload.TenantLog
-	for _, tl := range logs {
-		if inGroup[tl.Tenant.ID] {
-			subLogs = append(subLogs, tl)
-		}
-	}
-	victim := pick.TenantIDs[0]
+	subPlan, subLogs := restrictPlan(plan, logs, []int{pick})
+	group := &subPlan.Groups[0]
+	victim := group.TenantIDs[0]
 	// Continuous submission: the interval is shorter than TPCH-Q1's latency
 	// on the victim's configuration, so the tenant never goes inactive —
 	// the paper's "continuously submitted queries on behalf of that tenant".
@@ -130,14 +108,14 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 		r.rep = rep
 	}
 
-	res := &Fig77Result{Group: pick.ID, Members: len(pick.TenantIDs), TakeOverAt: takeOver.Start}
+	res := &Fig77Result{Group: group.ID, Members: len(group.TenantIDs), TakeOverAt: takeOver.Start}
 
 	// Panel a/c: RT-TTP timelines.
 	res.Timeline = &Table{
-		Title:   fmt.Sprintf("Fig 7.7a/c — RT-TTP of %s (%d tenants; take-over of %s at %v)", pick.ID, res.Members, victim, takeOver.Start),
+		Title:   fmt.Sprintf("Fig 7.7a/c — RT-TTP of %s (%d tenants; take-over of %s at %v)", group.ID, res.Members, victim, takeOver.Start),
 		Columns: []string{"time", "RT-TTP (scaling disabled)", "RT-TTP (scaling enabled)"},
 	}
-	dis, en := runs[0].rep.Samples[pick.ID], runs[1].rep.Samples[pick.ID]
+	dis, en := runs[0].rep.Samples[group.ID], runs[1].rep.Samples[group.ID]
 	for i := 0; i < len(dis) && i < len(en); i++ {
 		if i%6 != 0 { // print every 6 hours
 			continue

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/advisor"
@@ -10,94 +9,54 @@ import (
 	"repro/internal/master"
 	"repro/internal/recovery"
 	"repro/internal/recovery/chaos"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// largestSubPlan extracts the n most-populated groups of a plan (ties in plan
-// order) as a standalone sub-plan plus the logs of their members — the shared
-// scoping step of the chaos-style experiments.
-func largestSubPlan(plan *advisor.Plan, logs []*workload.TenantLog, n int) (*advisor.Plan, []*workload.TenantLog) {
-	type cand struct{ gi, members int }
-	cands := make([]cand, 0, len(plan.Groups))
-	for i := range plan.Groups {
-		cands = append(cands, cand{i, len(plan.Groups[i].TenantIDs)})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].members > cands[j].members })
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	subPlan := &advisor.Plan{Config: plan.Config}
-	members := map[string]bool{}
-	for _, c := range cands {
-		pg := plan.Groups[c.gi]
-		subPlan.Groups = append(subPlan.Groups, pg)
-		for _, id := range pg.TenantIDs {
-			members[id] = true
-		}
-	}
-	var subLogs []*workload.TenantLog
-	for _, tl := range logs {
-		if members[tl.Tenant.ID] {
-			subLogs = append(subLogs, tl)
-		}
-	}
-	return subPlan, subLogs
-}
-
 // GrayFail measures the fail-slow response ladder: the same seeded storm of
-// fractional slowdowns (stuck, gradual, flapping) replays three times against
-// identical deployments of the largest tenant-groups — once with no faults at
-// all (the attainment baseline), once bare (the deployment just eats the
-// slowdown), and once with the gray detector armed (peer-relative anomaly
-// detection → hedged duplicates → drain-and-replace). The verdict is the
-// paper-style restoration bar: the protected run's per-query SLA attainment
-// must land within one point of the no-fault baseline, while the bare run
-// shows what gray failure costs an undefended deployment.
+// fractional slowdowns (stuck, gradual, flapping) against the largest
+// group's members replays three times against identical deployments of the
+// largest tenant-groups — once with no faults at all (the attainment
+// baseline), once bare (the deployment just eats the slowdown), and once
+// with the gray detector armed (peer-relative anomaly detection → hedged
+// duplicates → drain-and-replace). The verdict is the paper-style
+// restoration bar: the protected run's per-query SLA attainment must land
+// within one point of the no-fault baseline, while the bare run shows what
+// gray failure costs an undefended deployment.
 func GrayFail(env *Env) ([]*Table, error) {
-	logs, err := env.DefaultLogs()
+	plan, logs, err := planDefault(env, advisor.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	acfg := advisor.DefaultConfig()
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
-	if err != nil {
-		return nil, err
-	}
-	subPlan, subLogs := largestSubPlan(plan, logs, env.Scale.ReplayGroups)
-
-	// One storm config for every arm; an explicit empty schedule turns the
-	// injection off for the baseline while keeping the replay identical.
-	run := func(gray *recovery.GrayConfig, sched []chaos.Slowdown) (*chaos.GrayFailResult, error) {
-		eng := sim.NewEngine()
-		pool := cluster.NewPool(2 * subPlan.NodesUsed())
-		m := master.New(eng, pool, master.Options{Immediate: true, Gray: gray})
-		dep, err := m.Deploy(subPlan, Tenants(subLogs))
-		if err != nil {
-			return nil, err
-		}
-		cfg := chaos.DefaultGrayFailConfig()
-		cfg.Seed = env.Seed
-		cfg.From, cfg.To = 0, sim.Day
+	sub, subLogs := restrictPlan(plan, logs, largestGroups(plan, env.Scale.ReplayGroups))
+	cfg := chaos.DefaultGrayFailConfig()
+	cfg.Seed = env.Seed
+	var schedule chaos.Slowdowns
+	sc := &faultScenario{
+		plan: sub,
+		logs: subLogs,
+		pool: func(used int) *cluster.Pool { return cluster.NewPool(2 * used) },
 		// Drain-and-replace pays the Table 5.1 reload of the group's share,
 		// which for the largest groups runs past a day.
-		cfg.DrainSlack = 3 * 24 * time.Hour
-		cfg.Slowdowns = sched
-		return chaos.RunGrayFail(eng, dep, env.Cat, subLogs, cfg)
+		replay: replay.Options{To: sim.Day, SLASlack: stormSLASlack, DrainSlack: 3 * 24 * time.Hour},
+		setup: func(dep *master.Deployment, opts *replay.Options, faulted bool) ([]*workload.TenantLog, error) {
+			target, err := chaos.LargestGroup(dep)
+			if err != nil {
+				return nil, err
+			}
+			sched := chaos.Slowdowns{}
+			if faulted {
+				if sched, err = chaos.BuildSlowdowns(target, opts.From, opts.To, cfg); err != nil {
+					return nil, err
+				}
+				schedule = sched
+			}
+			opts.Injectors = []replay.Injector{sched}
+			return chaos.MemberLogs(subLogs, target), nil
+		},
 	}
 
-	baseline, err := run(nil, []chaos.Slowdown{})
-	if err != nil {
-		return nil, err
-	}
-	bare, err := run(nil, nil)
-	if err != nil {
-		return nil, err
-	}
 	// Affinity routing leaves some instances sample-sparse, so the profile
 	// window is short enough for the mean to track an onset within a few
 	// completions. Clearing demands a healthy stretch longer than the
@@ -113,65 +72,97 @@ func GrayFail(env *Env) ([]*Table, error) {
 	gcfg.ConfirmBeats = 2
 	gcfg.ClearBeats = 30
 	gcfg.DrainAfter = 4 * time.Hour
-	protected, err := run(&gcfg, nil)
+	runs, err := sc.runArms(env.Cat,
+		faultArm{name: "baseline", posture: master.Options{Immediate: true}},
+		faultArm{name: "bare", posture: master.Options{Immediate: true}, faulted: true},
+		faultArm{name: "protected", posture: master.Options{Immediate: true, Gray: &gcfg}, faulted: true})
 	if err != nil {
 		return nil, err
 	}
+	baseline, protected := runs[0], runs[2]
 
-	schedule := &Table{
-		Title:   fmt.Sprintf("Gray failure — injected fail-slow schedule (group %s, seed %d)", bare.Group, env.Seed),
+	// The detector's episodes and the router's hedge tallies, per arm.
+	type ladder struct {
+		events                        []recovery.GrayEvent
+		suspected, confirmed, drained int
+		hedged, wins                  int64
+	}
+	ladders := make([]ladder, len(runs))
+	for i, r := range runs {
+		target, err := chaos.LargestGroup(r.dep)
+		if err != nil {
+			return nil, err
+		}
+		l := &ladders[i]
+		if target.Gray != nil {
+			l.events = target.Gray.Events()
+		}
+		for _, ev := range l.events {
+			l.suspected++
+			if ev.Confirmed > 0 {
+				l.confirmed++
+			}
+			if ev.Drained > 0 {
+				l.drained++
+			}
+		}
+		l.hedged, l.wins = target.Router.HedgeStats()
+	}
+
+	scheduleTable := &Table{
+		Title:   fmt.Sprintf("Gray failure — injected fail-slow schedule (group %s, seed %d)", schedule[0].Group, env.Seed),
 		Columns: []string{"at", "instance", "profile", "factor", "duration"},
 	}
-	for _, e := range bare.Schedule {
-		schedule.AddRow(e.At.String(), e.Instance, string(e.Profile),
+	for _, e := range schedule {
+		scheduleTable.AddRow(e.At.String(), e.Instance, string(e.Profile),
 			fmt.Sprintf("%.2f", e.Factor), e.Duration.String())
 	}
 
-	ladder := &Table{
+	episodes := &Table{
 		Title:   "Gray failure — detector episodes (protected run)",
 		Columns: []string{"mppdb", "suspected", "confirmed", "drained", "cleared", "resolution", "hedged in-flight"},
 	}
-	for _, ev := range protected.GrayEvents {
-		mark := func(t sim.Time) string {
-			if t == 0 {
-				return "—"
-			}
-			return t.String()
+	mark := func(t sim.Time) string {
+		if t == 0 {
+			return "—"
 		}
-		ladder.AddRow(ev.MPPDB, ev.Suspected.String(), mark(ev.Confirmed),
+		return t.String()
+	}
+	for _, ev := range ladders[2].events {
+		episodes.AddRow(ev.MPPDB, ev.Suspected.String(), mark(ev.Confirmed),
 			mark(ev.Drained), mark(ev.Cleared), ev.Resolution, ev.Hedged)
 	}
 
+	// A ladder that never fires protects nothing: the armed detector must
+	// confirm at least one episode of the schedule.
 	verdict := "PASS"
-	if err := baseline.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: baseline: %v", err)
-	} else if err := bare.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: bare: %v", err)
-	} else if err := protected.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: protected: %v", err)
-	} else if protected.Attainment < baseline.Attainment-0.01 {
+	if err := verifyArms(runs); err != nil {
+		verdict = fmt.Sprintf("FAIL: %v", err)
+	} else if ladders[2].confirmed == 0 {
+		verdict = "FAIL: protected: grayfail: detector armed but never confirmed a gray instance"
+	} else if protected.out.Attainment < baseline.out.Attainment-0.01 {
 		verdict = fmt.Sprintf("FAIL: protected attainment %.4f more than 1%% below no-fault %.4f",
-			protected.Attainment, baseline.Attainment)
+			protected.out.Attainment, baseline.out.Attainment)
 	}
 
 	outcome := &Table{
-		Title:   fmt.Sprintf("Gray failure — bare vs hedge→drain ladder (%d groups, seed %d)", len(subPlan.Groups), env.Seed),
+		Title:   fmt.Sprintf("Gray failure — bare vs hedge→drain ladder (%d groups, seed %d)", len(sub.Groups), env.Seed),
 		Columns: []string{"metric", "no-fault", "bare", "protected"},
 	}
-	outcome.AddRow("per-query SLA attainment", pct(baseline.Attainment), pct(bare.Attainment), pct(protected.Attainment))
-	outcome.AddRow("worst member attainment", pct(baseline.MinAttainment), pct(bare.MinAttainment), pct(protected.MinAttainment))
-	outcome.AddRow("min RT-TTP", fmt.Sprintf("%.4f", baseline.MinRTTTP),
-		fmt.Sprintf("%.4f", bare.MinRTTTP), fmt.Sprintf("%.4f", protected.MinRTTTP))
-	outcome.AddRow("episodes suspected/confirmed/drained", "0/0/0",
-		fmt.Sprintf("%d/%d/%d", bare.Suspected, bare.Confirmed, bare.Drained),
-		fmt.Sprintf("%d/%d/%d", protected.Suspected, protected.Confirmed, protected.Drained))
-	outcome.AddRow("queries hedged (peer wins)", "0 (0)",
-		fmt.Sprintf("%d (%d)", bare.Hedged, bare.HedgeWins),
-		fmt.Sprintf("%d (%d)", protected.Hedged, protected.HedgeWins))
-	outcome.AddRow("pool active/expected",
-		fmt.Sprintf("%d/%d", baseline.ActiveNodes, baseline.ExpectedActive),
-		fmt.Sprintf("%d/%d", bare.ActiveNodes, bare.ExpectedActive),
-		fmt.Sprintf("%d/%d", protected.ActiveNodes, protected.ExpectedActive))
+	row := func(metric string, cell func(i int, r *faultRun) any) { armRow(outcome, runs, metric, cell) }
+	row("per-query SLA attainment", func(_ int, r *faultRun) any { return pct(r.out.Attainment) })
+	row("worst member attainment", func(_ int, r *faultRun) any { return pct(r.out.WorstAttainment) })
+	row("min RT-TTP", func(_ int, r *faultRun) any { return fmt.Sprintf("%.4f", r.out.MinRTTTP) })
+	row("episodes suspected/confirmed/drained", func(i int, _ *faultRun) any {
+		l := ladders[i]
+		return fmt.Sprintf("%d/%d/%d", l.suspected, l.confirmed, l.drained)
+	})
+	row("queries hedged (peer wins)", func(i int, _ *faultRun) any {
+		return fmt.Sprintf("%d (%d)", ladders[i].hedged, ladders[i].wins)
+	})
+	row("pool active/expected", func(_ int, r *faultRun) any {
+		return fmt.Sprintf("%d/%d", r.out.ActiveNodes, r.out.ExpectedActive)
+	})
 	outcome.AddRow("verdict", "", "", verdict)
-	return []*Table{schedule, ladder, outcome}, nil
+	return []*Table{scheduleTable, episodes, outcome}, nil
 }

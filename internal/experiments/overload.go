@@ -9,7 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/recovery/chaos"
-	"repro/internal/sim"
+	"repro/internal/replay"
 	"repro/internal/workload"
 )
 
@@ -20,134 +20,124 @@ import (
 // shows how one over-contract tenant burns its co-tenants' guarantee
 // through processor-sharing contention; the second shows the aggressor
 // being throttled with typed 429s while every contract-abiding tenant's
-// attainment holds.
+// attainment holds. A third, storm-free control run fixes each tenant's
+// intrinsic attainment.
 func OverloadStorm(env *Env) ([]*Table, error) {
-	logs, err := env.DefaultLogs()
+	plan, logs, err := planDefault(env, advisor.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	adv, err := advisor.New(advisor.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
-	if err != nil {
-		return nil, err
-	}
-	// The storm targets one group; deploy only the largest so the replay
-	// stays bounded.
+	// The storm targets one group; deploy only the largest (first on ties)
+	// so the replay stays bounded.
 	gi := 0
 	for i := range plan.Groups {
 		if len(plan.Groups[i].TenantIDs) > len(plan.Groups[gi].TenantIDs) {
 			gi = i
 		}
 	}
-	subPlan := &advisor.Plan{Config: plan.Config, Groups: plan.Groups[gi : gi+1]}
-	members := map[string]bool{}
-	for _, id := range subPlan.Groups[0].TenantIDs {
-		members[id] = true
+	sub, subLogs := restrictPlan(plan, logs, []int{gi})
+	cfg := chaos.DefaultOverloadConfig()
+	cfg.Seed = env.Seed
+	var storms []*chaos.Storm
+	sc := &faultScenario{
+		plan: sub,
+		logs: subLogs,
+		pool: cluster.NewPool,
+		// Replay the advisor's whole horizon: the RT-TTP guarantee holds over
+		// that window, so any sub-window (e.g. one busy day) can dip below P
+		// even without a storm.
+		replay: replay.Options{To: env.Horizon(), SLASlack: stormSLASlack, DrainSlack: 6 * time.Hour},
+		setup: func(dep *master.Deployment, opts *replay.Options, faulted bool) ([]*workload.TenantLog, error) {
+			scfg := cfg
+			if !faulted {
+				scfg.Aggressors = 0
+			}
+			storm, err := chaos.NewStorm(dep, env.Cat, subLogs, scfg)
+			if err != nil {
+				return nil, err
+			}
+			storms = append(storms, storm)
+			opts.Injectors = []replay.Injector{storm}
+			opts.Admit = storm.Group.Admission != nil
+			return storm.Logs(subLogs), nil
+		},
 	}
-	var subLogs []*workload.TenantLog
-	for _, tl := range logs {
-		if members[tl.Tenant.ID] {
-			subLogs = append(subLogs, tl)
-		}
-	}
-
-	// Replay the advisor's whole horizon: the RT-TTP guarantee holds over
-	// that window, so any sub-window (e.g. one busy day) can dip below P
-	// even without a storm.
-	runOne := func(aggressors int, admit bool) (*chaos.OverloadResult, error) {
-		cfg := chaos.DefaultOverloadConfig()
-		cfg.Seed = env.Seed
-		cfg.From, cfg.To = 0, env.Horizon()
-		cfg.Aggressors = aggressors
-		opts := master.Options{Immediate: true, MonitorWindow: time.Hour}
-		if admit {
-			acfg := admission.DefaultConfig()
-			acfg.Contracts = admission.ContractsFromLogs(subLogs, acfg.Headroom)
-			opts.Admission = &acfg
-		}
-		eng := sim.NewEngine()
-		m := master.New(eng, cluster.NewPool(subPlan.NodesUsed()), opts)
-		dep, err := m.Deploy(subPlan, Tenants(subLogs))
-		if err != nil {
-			return nil, err
-		}
-		return chaos.RunOverload(eng, dep, env.Cat, subLogs, cfg)
-	}
-	// Three runs over the identical replay: a no-storm control fixing each
-	// tenant's intrinsic attainment, the storm bare, and the storm with
-	// admission armed.
-	ctl, err := runOne(0, false)
+	posture := master.Options{Immediate: true, MonitorWindow: time.Hour}
+	acfg := admission.DefaultConfig()
+	acfg.Contracts = admission.ContractsFromLogs(subLogs, acfg.Headroom)
+	protectedPosture := posture
+	protectedPosture.Admission = &acfg
+	runs, err := sc.runArms(env.Cat,
+		faultArm{name: "control", posture: posture},
+		faultArm{name: "bare", posture: posture, faulted: true},
+		faultArm{name: "protected", posture: protectedPosture, faulted: true})
 	if err != nil {
 		return nil, err
 	}
-	base, err := runOne(1, false)
-	if err != nil {
-		return nil, err
-	}
-	prot, err := runOne(1, true)
-	if err != nil {
-		return nil, err
+	ctl, base, prot := runs[0], runs[1], runs[2]
+	storm := storms[2]
+	minCompliant := make([]float64, len(runs))
+	for i, r := range runs {
+		minCompliant[i] = storms[i].MinCompliant(&r.out)
 	}
 
 	p := plan.Config.P
-	ctlAtt := map[string]float64{}
-	baseAtt := map[string]float64{}
-	for _, o := range ctl.Outcomes {
-		ctlAtt[o.Tenant] = o.Attainment
-	}
-	for _, o := range base.Outcomes {
-		baseAtt[o.Tenant] = o.Attainment
+	adm := map[string]admission.TenantStat{}
+	for _, st := range storm.Group.Admission.TenantStats() {
+		adm[st.Tenant] = st
 	}
 	outcomes := &Table{
 		Title: fmt.Sprintf("Overload storm — per-tenant outcome (group %s, seed %d, 5× over contract)",
-			prot.Group, env.Seed),
+			storm.Group.Plan.ID, env.Seed),
 		Columns: []string{"tenant", "aggressor", "control", "bare", "admission", "admitted", "throttled", "shed"},
 	}
-	for _, o := range prot.Outcomes {
-		outcomes.AddRow(o.Tenant, fmt.Sprint(o.Aggressor), pct(ctlAtt[o.Tenant]),
-			pct(baseAtt[o.Tenant]), pct(o.Attainment), o.Admitted, o.Throttled, o.Shed)
+	for _, tn := range storm.Group.Members {
+		st := adm[tn.ID]
+		outcomes.AddRow(tn.ID, fmt.Sprint(storm.Aggressor(tn.ID)), pct(ctl.out.TenantAttainment(tn.ID)),
+			pct(base.out.TenantAttainment(tn.ID)), pct(prot.out.TenantAttainment(tn.ID)),
+			st.Admitted, st.Throttled, st.Shed)
 	}
 
 	// Verdicts are measured against each tenant's no-storm control: the bare
 	// storm must drag some compliant tenant below both its intrinsic
 	// attainment and P, and the armed run must hold every compliant tenant at
 	// its intrinsic floor (or P, whichever is lower).
-	baseVerdict := fmt.Sprintf("storm absorbed without damage (min compliant %s)", pct(base.MinCompliantAttainment))
-	for _, o := range base.Outcomes {
-		floor := min(p, ctlAtt[o.Tenant])
-		if !o.Aggressor && o.Attainment < floor {
-			baseVerdict = fmt.Sprintf("storm burned compliant %s from %s to %s (P=%.4f)",
-				o.Tenant, pct(ctlAtt[o.Tenant]), pct(o.Attainment), p)
-			break
-		}
-	}
-	protVerdict := "PASS"
-	if err := prot.Verify(min(p, ctl.MinCompliantAttainment)); err != nil {
-		protVerdict = fmt.Sprintf("FAIL: %v", err)
-	} else {
-		for _, o := range prot.Outcomes {
-			if floor := min(p, ctlAtt[o.Tenant]); !o.Aggressor && o.Attainment < floor {
-				protVerdict = fmt.Sprintf("FAIL: compliant %s at %s below its control %s",
-					o.Tenant, pct(o.Attainment), pct(ctlAtt[o.Tenant]))
-				break
+	burned := func(r *faultRun) (string, bool) {
+		for _, tn := range storm.Group.Members {
+			floor := min(p, ctl.out.TenantAttainment(tn.ID))
+			if a := r.out.TenantAttainment(tn.ID); !storm.Aggressor(tn.ID) && a < floor {
+				return tn.ID, true
 			}
 		}
+		return "", false
+	}
+	baseVerdict := fmt.Sprintf("storm absorbed without damage (min compliant %s)", pct(minCompliant[1]))
+	if id, ok := burned(base); ok {
+		baseVerdict = fmt.Sprintf("storm burned compliant %s from %s to %s (P=%.4f)",
+			id, pct(ctl.out.TenantAttainment(id)), pct(base.out.TenantAttainment(id)), p)
+	}
+	protVerdict := "PASS"
+	if err := prot.out.Verify(); err != nil {
+		protVerdict = fmt.Sprintf("FAIL: %v", err)
+	} else if err := storm.Verify(&prot.out, min(p, minCompliant[0])); err != nil {
+		protVerdict = fmt.Sprintf("FAIL: %v", err)
+	} else if id, ok := burned(prot); ok {
+		protVerdict = fmt.Sprintf("FAIL: compliant %s at %s below its control %s",
+			id, pct(prot.out.TenantAttainment(id)), pct(ctl.out.TenantAttainment(id)))
 	}
 	summary := &Table{
-		Title:   fmt.Sprintf("Overload storm — control vs bare vs admission-controlled (aggressors %v)", prot.Aggressors),
+		Title:   fmt.Sprintf("Overload storm — control vs bare vs admission-controlled (aggressors %v)", storm.Aggressors),
 		Columns: []string{"metric", "control", "bare", "admission"},
 	}
-	summary.AddRow("storm submitted", ctl.StormSubmitted, base.StormSubmitted, prot.StormSubmitted)
-	summary.AddRow("storm admitted", ctl.StormAdmitted, base.StormAdmitted, prot.StormAdmitted)
-	summary.AddRow("storm throttled (429)", ctl.StormThrottled, base.StormThrottled, prot.StormThrottled)
-	summary.AddRow("storm shed (503)", ctl.StormShed, base.StormShed, prot.StormShed)
-	summary.AddRow("compliant throttled", ctl.NormalThrottled, base.NormalThrottled, prot.NormalThrottled)
-	summary.AddRow("compliant shed", ctl.NormalShed, base.NormalShed, prot.NormalShed)
-	summary.AddRow("min compliant attainment", pct(ctl.MinCompliantAttainment), pct(base.MinCompliantAttainment), pct(prot.MinCompliantAttainment))
-	summary.AddRow("min RT-TTP", fmt.Sprintf("%.4f", ctl.MinRTTTP), fmt.Sprintf("%.4f", base.MinRTTTP), fmt.Sprintf("%.4f", prot.MinRTTTP))
+	row := func(metric string, cell func(i int, r *faultRun) any) { armRow(summary, runs, metric, cell) }
+	row("storm submitted", func(i int, _ *faultRun) any { return storms[i].Submitted })
+	row("storm admitted", func(i int, _ *faultRun) any { return storms[i].Admitted })
+	row("storm throttled (429)", func(i int, _ *faultRun) any { return storms[i].Throttled })
+	row("storm shed (503)", func(i int, _ *faultRun) any { return storms[i].Shed })
+	row("compliant throttled", func(_ int, r *faultRun) any { return r.rep.Throttled })
+	row("compliant shed", func(_ int, r *faultRun) any { return r.rep.Shed })
+	row("min compliant attainment", func(i int, _ *faultRun) any { return pct(minCompliant[i]) })
+	row("min RT-TTP", func(_ int, r *faultRun) any { return fmt.Sprintf("%.4f", r.out.MinRTTTP) })
 	summary.AddRow("bare verdict", "", baseVerdict, "")
 	summary.AddRow(fmt.Sprintf("protection verdict (compliant ≥ min(P=%.4f, control))", p), "", "", protVerdict)
 	return []*Table{outcomes, summary}, nil

@@ -1,14 +1,16 @@
-// Package chaos is the failure-injection harness for the §4.4 recovery loop:
-// it derives a randomized-but-seeded failure schedule (lone crashes, repeat
-// crashes mid-recovery, cross-group bursts) against a live deployment, drives
-// a workload replay under it, and condenses the outcome into the two checks
-// that matter — the time-based SLA guarantee held (every group's sampled
-// RT-TTP stayed ≥ the plan's P), and the node pool came back leak-free
-// (every carted-away node re-imaged, every replacement accounted for).
+// Package chaos builds the faults replay.Run injects into a deployment to
+// exercise the §4.4 recovery loop and the SLA guarantee: seeded crash
+// schedules (lone crashes, repeat crashes mid-recovery, cross-group
+// bursts) for replay.Options.Failures, and three replay.Injectors —
+// fail-slow episodes (Slowdowns), whole-domain outages (Outages) and a
+// noisy-tenant storm (Storm). replay.Inspect then condenses the run for the
+// shared verifiers: the guarantee held (every group's sampled RT-TTP stayed
+// ≥ the plan's P), nothing was dropped, and the node pool came back
+// leak-free.
 //
-// The schedule is a pure function of (deployment shape, Config): with a fixed
-// Seed it is identical run to run, so a chaos run on a shared clock domain is
-// as replayable as any other experiment.
+// Every builder is a pure function of (deployment shape, window, config):
+// with a fixed Seed a fault run on a shared clock domain is as replayable
+// as any other experiment.
 package chaos
 
 import (
@@ -17,21 +19,16 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/queries"
-	"repro/internal/recovery"
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Config parameterizes a chaos run.
+// Config parameterizes a crash schedule.
 type Config struct {
 	// Seed fixes the schedule's randomness.
 	Seed int64
-	// From and To bound the replay window; failures land inside it.
-	From, To sim.Time
 	// MeanBetween is the mean gap between failure instants (exponentially
 	// distributed).
 	MeanBetween time.Duration
@@ -46,14 +43,6 @@ type Config struct {
 	BurstProb float64
 	// MaxFailures bounds the schedule.
 	MaxFailures int
-	// Recovery overrides the recovery controllers' config.
-	Recovery *recovery.Config
-	// SampleEvery is the replay's statistics sampling period.
-	SampleEvery time.Duration
-	// DrainSlack extends the post-window settle time (default one day);
-	// groups with long Table 5.1 reloads need enough to finish recovering
-	// before the leak check tallies the pool.
-	DrainSlack time.Duration
 }
 
 // DefaultConfig returns a moderate failure mix: a crash every ~2 h, a quarter
@@ -69,29 +58,26 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() error {
-	if c.To <= c.From {
-		return fmt.Errorf("chaos: window [%v,%v)", c.From, c.To)
+// BuildSchedule derives the crash schedule for the deployment over the
+// window [from, to). It is deterministic in (deployment group order,
+// window, cfg).
+func BuildSchedule(dep *master.Deployment, from, to sim.Time, cfg Config) ([]replay.Failure, error) {
+	if to <= from {
+		return nil, fmt.Errorf("chaos: window [%v,%v)", from, to)
 	}
-	if c.MeanBetween <= 0 || c.MaxFailures < 1 {
-		return fmt.Errorf("chaos: MeanBetween=%v MaxFailures=%d", c.MeanBetween, c.MaxFailures)
+	if cfg.MeanBetween <= 0 || cfg.MaxFailures < 1 {
+		return nil, fmt.Errorf("chaos: MeanBetween=%v MaxFailures=%d", cfg.MeanBetween, cfg.MaxFailures)
 	}
-	if c.RepeatProb > 0 && c.RepeatDelay <= 0 {
-		return fmt.Errorf("chaos: RepeatProb without RepeatDelay")
+	if cfg.RepeatProb > 0 && cfg.RepeatDelay <= 0 {
+		return nil, fmt.Errorf("chaos: RepeatProb without RepeatDelay")
 	}
-	return nil
-}
-
-// BuildSchedule derives the failure schedule for the deployment. It is
-// deterministic in (deployment group order, cfg).
-func BuildSchedule(dep *master.Deployment, cfg Config) []replay.Failure {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	groups := dep.Groups()
 	var out []replay.Failure
-	t := cfg.From
+	t := from
 	for len(out) < cfg.MaxFailures {
 		t = t.Add(time.Duration(rng.ExpFloat64() * float64(cfg.MeanBetween)))
-		if t >= cfg.To {
+		if t >= to {
 			break
 		}
 		if rng.Float64() < cfg.BurstProb {
@@ -111,119 +97,40 @@ func BuildSchedule(dep *master.Deployment, cfg Config) []replay.Failure {
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out, nil
+}
+
+// LargestGroup returns the deployment's most-populated group, the first in
+// deployment order on ties — the target of the one-group storms.
+func LargestGroup(dep *master.Deployment) (*master.DeployedGroup, error) {
+	groups := dep.Groups()
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("chaos: empty deployment")
+	}
+	target := groups[0]
+	for _, g := range groups[1:] {
+		if len(g.Members) > len(target.Members) {
+			target = g
+		}
+	}
+	return target, nil
+}
+
+// MemberLogs returns the logs of the groups' members in group order, then
+// member order — the order the fault scenarios replay them in, which fixes
+// how same-instant submissions tie. Members without a log are skipped.
+func MemberLogs(logs []*workload.TenantLog, groups ...*master.DeployedGroup) []*workload.TenantLog {
+	byID := make(map[string]*workload.TenantLog, len(logs))
+	for _, tl := range logs {
+		byID[tl.Tenant.ID] = tl
+	}
+	var out []*workload.TenantLog
+	for _, g := range groups {
+		for _, tn := range g.Members {
+			if tl := byID[tn.ID]; tl != nil {
+				out = append(out, tl)
+			}
+		}
+	}
 	return out
-}
-
-// Result condenses a chaos run.
-type Result struct {
-	// Report is the underlying replay's report.
-	Report *replay.Report
-	// Schedule is the injected failure schedule.
-	Schedule []replay.Failure
-	// Attainment is the run's per-query SLA attainment. Under failures it
-	// dips — queries keep completing on degraded instances, just slower —
-	// while the paper's actual guarantee (TTP over time, below) holds.
-	Attainment float64
-	// MinRTTTP is the lowest sampled RT-TTP across all groups — the §4.2
-	// guarantee metric the plan's P bounds.
-	MinRTTTP float64
-	// Injected counts scheduled failures; Applied those that actually took a
-	// node down (a repeat crash can be rejected when the instance is already
-	// at its minimum); Recovered the completed recovery lifecycles.
-	Injected, Applied, Recovered int
-	// InFlight counts recoveries still pending at the end of the drain.
-	InFlight int
-	// ExpectedActive is the node count the deployment's instances own;
-	// ActiveNodes/FailedNodes/RepairingNodes are the pool's end-state tallies
-	// for the leak check.
-	ExpectedActive, ActiveNodes, FailedNodes, RepairingNodes int
-}
-
-// Verify checks the acceptance bar: the SLA guarantee held (every group's
-// sampled RT-TTP stayed at least p throughout — the thesis' time-based
-// attainment, which degraded-but-serving instances preserve), every applied
-// failure recovered, and the pool is leak-free — active matches the
-// deployment, nothing stuck failed or mid-re-image.
-func (r *Result) Verify(p float64) error {
-	if r.MinRTTTP < p {
-		return fmt.Errorf("chaos: RT-TTP dipped to %.4f < %.4f", r.MinRTTTP, p)
-	}
-	if r.Recovered < r.Applied {
-		return fmt.Errorf("chaos: %d of %d applied failures recovered", r.Recovered, r.Applied)
-	}
-	if r.InFlight != 0 {
-		return fmt.Errorf("chaos: %d recoveries still in flight", r.InFlight)
-	}
-	if r.ActiveNodes != r.ExpectedActive || r.FailedNodes != 0 || r.RepairingNodes != 0 {
-		return fmt.Errorf("chaos: pool leak — active %d (want %d), failed %d, repairing %d",
-			r.ActiveNodes, r.ExpectedActive, r.FailedNodes, r.RepairingNodes)
-	}
-	return nil
-}
-
-// Run builds the schedule and replays the logs under it. Sharded deployments
-// run via replay.RunParallel (eng may be nil); shared ones via replay.Run on
-// eng. The post-window drain (DrainSlack, default one day) gives recoveries
-// and re-images time to settle before the pool is tallied.
-func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
-	logs []*workload.TenantLog, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	sched := BuildSchedule(dep, cfg)
-	opts := replay.Options{
-		From:        cfg.From,
-		To:          cfg.To,
-		SampleEvery: cfg.SampleEvery,
-		Failures:    sched,
-		Recovery:    cfg.Recovery,
-		DrainSlack:  cfg.DrainSlack,
-	}
-	var rep *replay.Report
-	var err error
-	if dep.Sharded() {
-		rep, err = replay.RunParallel(dep, cat, logs, opts)
-	} else {
-		rep, err = replay.Run(eng, dep, cat, logs, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Report:     rep,
-		Schedule:   sched,
-		Attainment: rep.SLAAttainment(),
-		MinRTTTP:   1,
-		Injected:   len(sched),
-	}
-	for group := range rep.Samples {
-		if m := rep.MinRTTTP(group); m < res.MinRTTTP {
-			res.MinRTTTP = m
-		}
-	}
-	for _, fe := range rep.FailureEvents {
-		if fe.Err == "" {
-			res.Applied++
-		}
-	}
-	for _, re := range rep.RecoveryEvents {
-		if re.Recovered() {
-			res.Recovered++
-		}
-	}
-	for _, g := range dep.Groups() {
-		g.Domain().Do(func(*sim.Engine) {
-			for _, inst := range g.Instances {
-				res.ExpectedActive += inst.Nodes()
-			}
-			if g.Recovery != nil {
-				res.InFlight += g.Recovery.InProgress()
-			}
-		})
-	}
-	pool := dep.Pool()
-	res.ActiveNodes = pool.CountState(cluster.Active)
-	res.FailedNodes = pool.CountState(cluster.Failed)
-	res.RepairingNodes = pool.CountState(cluster.Repairing)
-	return res, nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/master"
 	"repro/internal/queries"
 	"repro/internal/recovery"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -26,10 +27,12 @@ type world struct {
 	plan *advisor.Plan
 }
 
-// newWorld builds a consolidated deployment and its logs. poolFactor sizes
-// the node pool as a multiple of the plan's footprint: 1 leaves no spare
-// capacity for replacements.
-func newWorld(t *testing.T, tenants, days, r int, sharded bool, poolFactor int) *world {
+// buildWorld composes a small population's logs, plans it with replication
+// r over the given failure domains (0 or 1: a single domain), and deploys
+// the plan under the posture opts derives from the logs, on the pool sized
+// from the plan's footprint.
+func buildWorld(t *testing.T, tenants, days, r, domains int,
+	pool func(used int) *cluster.Pool, opts func([]*workload.TenantLog) master.Options) *world {
 	t.Helper()
 	cat := queries.Default()
 	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
@@ -41,26 +44,26 @@ func newWorld(t *testing.T, tenants, days, r int, sharded bool, poolFactor int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := workload.DefaultComposeConfig(3)
-	cfg.Days = days
-	cfg.Holidays = 0
-	logs, err := workload.Compose(lib, pop, cfg)
+	ccfg := workload.DefaultComposeConfig(3)
+	ccfg.Days = days
+	ccfg.Holidays = 0
+	logs, err := workload.Compose(lib, pop, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acfg := advisor.DefaultConfig()
 	acfg.R = r
+	acfg.FailureDomains = domains
 	adv, err := advisor.New(acfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := adv.Plan(logs, cfg.Horizon())
+	plan, err := adv.Plan(logs, ccfg.Horizon())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	pool := cluster.NewPool(poolFactor * plan.NodesUsed())
-	m := master.New(eng, pool, master.Options{Immediate: true, Sharded: sharded})
+	m := master.New(eng, pool(plan.NodesUsed()), opts(logs))
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {
 		byID[tn.ID] = tn
@@ -70,6 +73,48 @@ func newWorld(t *testing.T, tenants, days, r int, sharded bool, poolFactor int) 
 		t.Fatal(err)
 	}
 	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
+}
+
+// newWorld builds a consolidated deployment and its logs. poolFactor sizes
+// the node pool as a multiple of the plan's footprint: 1 leaves no spare
+// capacity for replacements.
+func newWorld(t *testing.T, tenants, days, r int, sharded bool, poolFactor int) *world {
+	t.Helper()
+	return buildWorld(t, tenants, days, r, 0,
+		func(used int) *cluster.Pool { return cluster.NewPool(poolFactor * used) },
+		func([]*workload.TenantLog) master.Options { return master.Options{Immediate: true, Sharded: sharded} })
+}
+
+// replay drives the world's deployment with logs under opts — on its one
+// engine, or group by group when sharded — and inspects the outcome.
+func (w *world) replay(logs []*workload.TenantLog, opts replay.Options) (*replay.Report, replay.Outcome, error) {
+	var rep *replay.Report
+	var err error
+	if w.dep.Sharded() {
+		rep, err = replay.RunParallel(w.dep, w.cat, logs, opts)
+	} else {
+		rep, err = replay.Run(w.eng, w.dep, w.cat, logs, opts)
+	}
+	if err != nil {
+		return nil, replay.Outcome{}, err
+	}
+	return rep, replay.Inspect(w.dep, rep), nil
+}
+
+// crash builds the seeded crash schedule over [0, to) and replays the whole
+// world under it.
+func (w *world) crash(t *testing.T, cfg Config, opts replay.Options) (*replay.Report, replay.Outcome) {
+	t.Helper()
+	sched, err := BuildSchedule(w.dep, opts.From, opts.To, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Failures = sched
+	rep, out, err := w.replay(w.logs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, out
 }
 
 func countEvents(h *telemetry.Hub, typ telemetry.EventType) int {
@@ -91,36 +136,37 @@ func TestChaosEndToEnd(t *testing.T) {
 	w := newWorld(t, 10, 2, 3, true, 3)
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	cfg.From, cfg.To = 0, sim.Day
 	cfg.MeanBetween = 90 * time.Minute
 	cfg.RepeatProb = 0.3
 	cfg.BurstProb = 0.2
 	cfg.MaxFailures = 10
-	res, err := Run(nil, w.dep, w.cat, w.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	rep, out := w.crash(t, cfg, replay.Options{To: sim.Day})
+	applied := rep.AppliedFailures()
+	if applied < 3 {
+		t.Fatalf("only %d failures applied (schedule %d) — not enough chaos", applied, len(rep.FailureEvents))
 	}
-	if res.Applied < 3 {
-		t.Fatalf("only %d failures applied (schedule %d) — not enough chaos", res.Applied, res.Injected)
-	}
-	if err := res.Verify(w.plan.Config.P); err != nil {
+	if err := out.Verify(); err != nil {
 		t.Error(err)
 	}
-	// Every applied failure ran one full autonomous lifecycle.
-	if len(res.Report.RecoveryEvents) != res.Applied {
-		t.Errorf("%d recovery lifecycles for %d applied failures", len(res.Report.RecoveryEvents), res.Applied)
+	if p := w.plan.Config.P; out.MinRTTTP < p {
+		t.Errorf("RT-TTP dipped to %.4f < %.4f", out.MinRTTTP, p)
 	}
-	for _, rec := range res.Report.RecoveryEvents {
+	// Every applied failure ran one full autonomous lifecycle.
+	if len(rep.RecoveryEvents) != applied || out.Recovered != applied {
+		t.Errorf("%d recovery lifecycles (%d recovered) for %d applied failures",
+			len(rep.RecoveryEvents), out.Recovered, applied)
+	}
+	for _, rec := range rep.RecoveryEvents {
 		if !rec.Recovered() || rec.Attempts < 1 || rec.Detected <= 0 {
 			t.Errorf("incomplete lifecycle %+v", rec)
 		}
 	}
 	h := w.dep.Telemetry()
-	if got := countEvents(h, telemetry.EventRecoveryStarted); got != res.Applied {
-		t.Errorf("%d recovery_started events, want %d", got, res.Applied)
+	if got := countEvents(h, telemetry.EventRecoveryStarted); got != applied {
+		t.Errorf("%d recovery_started events, want %d", got, applied)
 	}
-	if got := countEvents(h, telemetry.EventRecoveryCompleted); got != res.Recovered {
-		t.Errorf("%d recovery_completed events, want %d", got, res.Recovered)
+	if got := countEvents(h, telemetry.EventRecoveryCompleted); got != out.Recovered {
+		t.Errorf("%d recovery_completed events, want %d", got, out.Recovered)
 	}
 }
 
@@ -134,30 +180,26 @@ func TestChaosPoolExhaustion(t *testing.T) {
 	rcfg.CoolDown = 30 * time.Minute
 	cfg := DefaultConfig()
 	cfg.Seed = 7
-	cfg.From, cfg.To = 0, sim.Day
 	cfg.RepeatProb, cfg.BurstProb = 0, 0
 	cfg.MaxFailures = 2
-	cfg.Recovery = &rcfg
-	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied < 1 {
+	rep, out := w.crash(t, cfg, replay.Options{To: sim.Day, Recovery: &rcfg})
+	applied := rep.AppliedFailures()
+	if applied < 1 {
 		t.Fatal("no failure applied")
 	}
-	if res.Recovered != 0 {
-		t.Errorf("%d recoveries completed with an empty pool", res.Recovered)
+	if out.Recovered != 0 {
+		t.Errorf("%d recoveries completed with an empty pool", out.Recovered)
 	}
-	if res.InFlight != res.Applied {
-		t.Errorf("%d recoveries in flight, want %d still retrying", res.InFlight, res.Applied)
+	if out.InFlight != applied {
+		t.Errorf("%d recoveries in flight, want %d still retrying", out.InFlight, applied)
 	}
-	if res.FailedNodes < 1 {
+	if out.FailedNodes < 1 {
 		t.Error("no failed node left in the pool")
 	}
 	if countEvents(w.dep.Telemetry(), telemetry.EventRecoveryFailed) == 0 {
 		t.Error("pool exhaustion produced no recovery_failed events")
 	}
-	if err := res.Verify(1); err == nil {
+	if err := out.Verify(); err == nil {
 		t.Error("Verify passed an unrecovered run")
 	}
 }
@@ -166,9 +208,14 @@ func TestChaosPoolExhaustion(t *testing.T) {
 // deployment shape and config.
 func TestChaosScheduleDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.From, cfg.To = 0, sim.Day
-	a := BuildSchedule(newWorld(t, 6, 1, 2, false, 2).dep, cfg)
-	b := BuildSchedule(newWorld(t, 6, 1, 2, false, 2).dep, cfg)
+	a, err := BuildSchedule(newWorld(t, 6, 1, 2, false, 2).dep, 0, sim.Day, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildSchedule(newWorld(t, 6, 1, 2, false, 2).dep, 0, sim.Day, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -179,52 +226,83 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 
 func TestChaosValidation(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, false, 2)
-	bad := []Config{
-		{Seed: 1, From: sim.Day, To: 0, MeanBetween: time.Hour, MaxFailures: 1},
-		{Seed: 1, From: 0, To: sim.Day, MeanBetween: 0, MaxFailures: 1},
-		{Seed: 1, From: 0, To: sim.Day, MeanBetween: time.Hour, MaxFailures: 0},
-		{Seed: 1, From: 0, To: sim.Day, MeanBetween: time.Hour, MaxFailures: 1, RepeatProb: 0.5},
+	bad := []struct {
+		from, to sim.Time
+		cfg      Config
+	}{
+		{sim.Day, 0, Config{Seed: 1, MeanBetween: time.Hour, MaxFailures: 1}},
+		{0, sim.Day, Config{Seed: 1, MeanBetween: 0, MaxFailures: 1}},
+		{0, sim.Day, Config{Seed: 1, MeanBetween: time.Hour, MaxFailures: 0}},
+		{0, sim.Day, Config{Seed: 1, MeanBetween: time.Hour, MaxFailures: 1, RepeatProb: 0.5}},
 	}
-	for i, cfg := range bad {
-		if _, err := Run(w.eng, w.dep, w.cat, w.logs, cfg); err == nil {
+	for i, tc := range bad {
+		if _, err := BuildSchedule(w.dep, tc.from, tc.to, tc.cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
 }
 
-// TestChaosTelemetryDeterminism is the determinism guard for chaos on a
-// shared clock domain: the same seed against a freshly built world must
-// reproduce the telemetry event and trace streams byte for byte.
+// TestChaosTelemetryDeterminism is the determinism guard for every fault
+// scenario on a shared clock domain: the same seed against a freshly built
+// world must reproduce the telemetry event and trace streams byte for byte
+// — crash recovery, the admission layer under a storm, the whole gray
+// ladder (hedging, cancellation, drain, reload), and spread acquisition,
+// domain injection, triage polling, quarantine and re-spread.
 func TestChaosTelemetryDeterminism(t *testing.T) {
-	dump := func() (events, traces []byte) {
-		t.Helper()
-		w := newWorld(t, 4, 1, 2, false, 3)
-		cfg := DefaultConfig()
-		cfg.Seed = 99
-		cfg.From, cfg.To = 0, sim.Day
-		cfg.MaxFailures = 4
-		if _, err := Run(w.eng, w.dep, w.cat, w.logs, cfg); err != nil {
-			t.Fatal(err)
-		}
-		var ev, tr bytes.Buffer
-		if err := w.dep.Telemetry().Events.Dump(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.dep.Telemetry().Tracer.Dump(&tr); err != nil {
-			t.Fatal(err)
-		}
-		return ev.Bytes(), tr.Bytes()
+	cases := []struct {
+		name string
+		run  func(t *testing.T) *world
+	}{
+		{"crash", func(t *testing.T) *world {
+			w := newWorld(t, 4, 1, 2, false, 3)
+			cfg := DefaultConfig()
+			cfg.Seed = 99
+			cfg.MaxFailures = 4
+			w.crash(t, cfg, replay.Options{To: sim.Day})
+			return w
+		}},
+		{"overload", func(t *testing.T) *world {
+			w := overloadWorld(t, 12, 2, true)
+			w.storm(t, stormConfig(), stormWindow())
+			return w
+		}},
+		{"grayfail", func(t *testing.T) *world {
+			gcfg := testGrayConfig()
+			w := grayWorld(t, 12, 2, &gcfg)
+			w.gray(t, nil, grayStormConfig(), grayWindow())
+			return w
+		}},
+		{"domainfail", func(t *testing.T) *world {
+			w := domainWorld(t, 12, 1, 3, 3, true, true, 20)
+			w.outage(t, nil, domainStormConfig(), domainWindow())
+			return w
+		}},
 	}
-	ev1, tr1 := dump()
-	ev2, tr2 := dump()
-	if !bytes.Equal(ev1, ev2) {
-		t.Error("event dumps differ across identically seeded chaos runs")
-	}
-	if !bytes.Equal(tr1, tr2) {
-		t.Error("trace dumps differ across identically seeded chaos runs")
-	}
-	if len(ev1) == 0 || len(tr1) == 0 {
-		t.Error("empty telemetry dumps")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dump := func() (events, traces []byte) {
+				hub := tc.run(t).dep.Telemetry()
+				var ev, tr bytes.Buffer
+				if err := hub.Events.Dump(&ev); err != nil {
+					t.Fatal(err)
+				}
+				if err := hub.Tracer.Dump(&tr); err != nil {
+					t.Fatal(err)
+				}
+				return ev.Bytes(), tr.Bytes()
+			}
+			ev1, tr1 := dump()
+			ev2, tr2 := dump()
+			if !bytes.Equal(ev1, ev2) {
+				t.Error("event dumps differ across identically seeded runs")
+			}
+			if !bytes.Equal(tr1, tr2) {
+				t.Error("trace dumps differ across identically seeded runs")
+			}
+			if len(ev1) == 0 || len(tr1) == 0 {
+				t.Error("empty telemetry dumps")
+			}
+		})
 	}
 }
 
@@ -234,20 +312,17 @@ func TestChaosSmoke(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, true, 3)
 	cfg := DefaultConfig()
 	cfg.Seed = 3
-	cfg.From, cfg.To = 0, 12*sim.Hour
 	cfg.MeanBetween = time.Hour
 	cfg.MaxFailures = 3
-	res, err := Run(nil, w.dep, w.cat, w.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied < 1 {
+	rep, out := w.crash(t, cfg, replay.Options{To: 12 * sim.Hour})
+	applied := rep.AppliedFailures()
+	if applied < 1 {
 		t.Fatal("no failure applied")
 	}
-	if res.Recovered != res.Applied || res.InFlight != 0 {
-		t.Errorf("recovered %d of %d, %d in flight", res.Recovered, res.Applied, res.InFlight)
+	if out.Recovered != applied || out.InFlight != 0 {
+		t.Errorf("recovered %d of %d, %d in flight", out.Recovered, applied, out.InFlight)
 	}
-	if res.ActiveNodes != res.ExpectedActive || res.FailedNodes != 0 || res.RepairingNodes != 0 {
-		t.Errorf("pool leak: %+v", res)
+	if out.ActiveNodes != out.ExpectedActive || out.FailedNodes != 0 || out.RepairingNodes != 0 {
+		t.Errorf("pool leak: %+v", out)
 	}
 }

@@ -6,12 +6,10 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/queries"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // DomainOutage is one scheduled correlated failure: every active node in the
@@ -27,13 +25,10 @@ type DomainOutage struct {
 }
 
 // DomainFailConfig parameterizes a seeded correlated-failure storm: a
-// schedule of whole-domain outages against the deployment while every tenant
-// replays its logged traffic.
+// schedule of whole-domain outages.
 type DomainFailConfig struct {
 	// Seed fixes the schedule's randomness (domain choice).
 	Seed int64
-	// From and To bound the run window.
-	From, To sim.Time
 	// Outages is how many domain outages to schedule (default 2).
 	Outages int
 	// Duration is each outage's length (default 3 h, clamped so same-domain
@@ -43,43 +38,15 @@ type DomainFailConfig struct {
 	// a rolling storm: consecutive domains go down back-to-back with a 25%
 	// overlap, so recovery of one domain races the loss of the next.
 	Rolling bool
-	// Schedule, when non-nil, is an explicit outage schedule and overrides
-	// the generated one. It is validated either way.
-	Schedule []DomainOutage
-	// Slowdowns, when non-empty, overlays a fail-slow schedule on top of the
-	// outages — the outage-during-gray-drain composition.
-	Slowdowns []Slowdown
-	// SLASlack scales each replayed query's logged duration into its SLO
-	// target (default 2.5, as in the other storms).
-	SLASlack float64
-	// SampleEvery is the RT-TTP sampling period (default 10 min).
-	SampleEvery time.Duration
-	// DrainSlack extends the post-window settle time (default one day) so
-	// queued triage claims drain and Table 5.1 reloads finish before the pool
-	// is tallied.
-	DrainSlack time.Duration
 }
 
 // DefaultDomainFailConfig returns a two-outage storm.
 func DefaultDomainFailConfig() DomainFailConfig {
 	return DomainFailConfig{
-		Seed:        1,
-		Outages:     2,
-		Duration:    3 * time.Hour,
-		SLASlack:    2.5,
-		SampleEvery: 10 * time.Minute,
-		DrainSlack:  24 * time.Hour,
+		Seed:     1,
+		Outages:  2,
+		Duration: 3 * time.Hour,
 	}
-}
-
-func (c DomainFailConfig) validate() error {
-	if c.To <= c.From {
-		return fmt.Errorf("domainfail: window [%v,%v)", c.From, c.To)
-	}
-	if c.Schedule == nil && (c.Outages < 1 || c.Duration <= 0) {
-		return fmt.Errorf("domainfail: Outages=%d Duration=%v", c.Outages, c.Duration)
-	}
-	return nil
 }
 
 // ValidateOutages checks a schedule against the pool shape and window:
@@ -110,60 +77,87 @@ func ValidateOutages(sched []DomainOutage, domains int, from, to sim.Time) error
 	return nil
 }
 
-// BuildOutages derives the outage schedule. Deterministic in (domains, cfg).
-// Plain storms space Outages evenly through the window, each hitting a seeded
-// domain; rolling storms march through consecutive domains back-to-back with
-// a 25% overlap so restoration of one races the loss of the next.
-func BuildOutages(domains int, cfg DomainFailConfig) []DomainOutage {
+// BuildOutages derives the outage schedule over the window [from, to).
+// Deterministic in (domains, window, cfg). Plain storms space Outages
+// evenly through the window, each hitting a seeded domain; rolling storms
+// march through consecutive domains back-to-back with a 25% overlap so
+// restoration of one races the loss of the next.
+func BuildOutages(domains int, from, to sim.Time, cfg DomainFailConfig) ([]DomainOutage, error) {
+	if to <= from {
+		return nil, fmt.Errorf("domainfail: window [%v,%v)", from, to)
+	}
+	if cfg.Outages < 1 || cfg.Duration <= 0 || domains < 1 {
+		return nil, fmt.Errorf("domainfail: Outages=%d Duration=%v domains=%d", cfg.Outages, cfg.Duration, domains)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	dur := sim.Duration(cfg.Duration)
 	out := make([]DomainOutage, 0, cfg.Outages)
 	if cfg.Rolling {
 		step := dur * 3 / 4
-		start := cfg.From + (cfg.To-cfg.From)/4
+		start := from + (to-from)/4
 		d0 := rng.Intn(domains)
 		for i := 0; i < cfg.Outages; i++ {
 			at := start + sim.Time(i)*step
-			if at >= cfg.To {
+			if at >= to {
 				break
 			}
 			out = append(out, DomainOutage{At: at, Duration: time.Duration(dur), Domain: (d0 + i) % domains})
 		}
-		return out
+		return out, nil
 	}
-	spacing := (cfg.To - cfg.From) / sim.Time(cfg.Outages+1)
+	spacing := (to - from) / sim.Time(cfg.Outages+1)
 	if dur >= spacing {
 		dur = spacing * 3 / 4
 	}
 	for i := 0; i < cfg.Outages; i++ {
 		out = append(out, DomainOutage{
-			At:       cfg.From + sim.Time(i+1)*spacing - dur/2,
+			At:       from + sim.Time(i+1)*spacing - dur/2,
 			Duration: time.Duration(dur),
 			Domain:   rng.Intn(domains),
 		})
 	}
-	return out
+	return out, nil
 }
 
-// applyOutages schedules the correlated-failure injections. At each outage
-// the pool fails the whole domain; every casualty is mirrored onto its
-// hosting instance (capped at nodes-1 — §4.4's "stays online" floor), and any
-// instance left with at least half its nodes dead is quarantined out of
-// routing until repaired — routing is not speed-aware, so without the gate a
-// majority-degraded instance keeps drawing its full query share at crawl
-// speed for the whole reload. The router re-admits a quarantined instance
-// implicitly when it is the last one ready, so no query is ever dropped.
-// Affected groups' recovery controllers are notified; restoration is
-// scheduled at At+Duration.
-func applyOutages(eng *sim.Engine, dep *master.Deployment, sched []DomainOutage, res *DomainFailResult) {
+// Outages is a correlated-failure injection: its schedule, and the tallies
+// the injection fills as it runs.
+type Outages struct {
+	// Schedule is the outage schedule.
+	Schedule []DomainOutage
+	// Casualties counts pool nodes killed by outages; Quarantines the
+	// majority-degraded instances pulled from routing.
+	Casualties, Quarantines int
+	// Errs records outages or restorations the pool rejected.
+	Errs []string
+}
+
+// Inject checks the schedule against the pool (at least two failure
+// domains) and the replay window with ValidateOutages, then schedules the
+// correlated-failure injections. At each outage the pool fails the whole
+// domain; every casualty is mirrored onto its hosting instance (capped at
+// nodes-1 — §4.4's "stays online" floor), and any instance left with at
+// least half its nodes dead is quarantined out of routing until repaired —
+// routing is not speed-aware, so without the gate a majority-degraded
+// instance keeps drawing its full query share at crawl speed for the whole
+// reload. The router re-admits a quarantined instance implicitly when it is
+// the last one ready, so no query is ever dropped. Affected groups'
+// recovery controllers are notified; restoration is scheduled at
+// At+Duration.
+func (res *Outages) Inject(eng *sim.Engine, dep *master.Deployment, opts replay.Options) error {
 	pool := dep.Pool()
+	if pool.Domains() < 2 {
+		return fmt.Errorf("domainfail: pool has %d failure domains, need ≥2", pool.Domains())
+	}
+	if err := ValidateOutages(res.Schedule, pool.Domains(), opts.From, opts.To); err != nil {
+		return err
+	}
 	hub := dep.Telemetry()
-	for _, o := range sched {
+	for _, o := range res.Schedule {
 		o := o
 		eng.Schedule(o.At, func(sim.Time) {
 			cas, err := pool.FailDomain(o.Domain)
 			if err != nil {
-				res.InjectErrs = append(res.InjectErrs, err.Error())
+				res.Errs = append(res.Errs, err.Error())
 				return
 			}
 			res.Casualties += len(cas)
@@ -217,7 +211,7 @@ func applyOutages(eng *sim.Engine, dep *master.Deployment, sched []DomainOutage,
 		})
 		eng.Schedule(o.At.Add(o.Duration), func(sim.Time) {
 			if err := pool.RestoreDomain(o.Domain); err != nil {
-				res.InjectErrs = append(res.InjectErrs, err.Error())
+				res.Errs = append(res.Errs, err.Error())
 				return
 			}
 			if hub != nil {
@@ -228,239 +222,5 @@ func applyOutages(eng *sim.Engine, dep *master.Deployment, sched []DomainOutage,
 			}
 		})
 	}
-}
-
-// DomainFailResult condenses a correlated-failure storm run.
-type DomainFailResult struct {
-	// Schedule is the injected outage schedule.
-	Schedule []DomainOutage
-	// TriageArmed records whether the deployment ran the scarcity allocator.
-	TriageArmed bool
-	// Casualties counts pool nodes killed by outages; Quarantines the
-	// majority-degraded instances pulled from routing.
-	Casualties, Quarantines int
-	// InjectErrs records outages or restorations the pool rejected.
-	InjectErrs []string
-	// Submitted counts scheduled logged submissions; Errors routing failures
-	// (the zero-dropped-queries bar).
-	Submitted, Errors int
-	// Attainment is the per-query SLA attainment across all tenants; worst
-	// member in MinAttainment.
-	Attainment    float64
-	MinAttainment float64
-	// MinRTTTP is the lowest sampled RT-TTP across all groups.
-	MinRTTTP float64
-	// Lifecycles counts recovery lifecycles begun; Recovered those completed;
-	// Triaged those that waited in the scarcity queue.
-	Lifecycles, Recovered, Triaged int
-	// TriageEnqueued and TriageGranted are the allocator's cumulative stats;
-	// QueuedClaims the claims still outstanding after the drain.
-	TriageEnqueued, TriageGranted, QueuedClaims int
-	// Respreads counts post-restoration re-spread cutovers; CollapsedGroups
-	// the multi-instance groups still confined to one domain at the end.
-	Respreads, CollapsedGroups int
-	// InFlight counts recoveries still pending after the drain;
-	// ResidualDegraded instances still missing nodes; QuarantinedEnd
-	// instances still quarantined; DownDomains domains still down.
-	InFlight, ResidualDegraded, QuarantinedEnd, DownDomains int
-	// ExpectedActive is the node count the deployment's instances own;
-	// Active/Failed/Repairing are the pool's end-state tallies.
-	ExpectedActive, ActiveNodes, FailedNodes, RepairingNodes int
-}
-
-// Verify checks the structural bar shared by every arm: all injections
-// landed, no query was dropped, every domain came back, every recovery and
-// triage claim drained, no instance is left degraded or quarantined, and the
-// pool is leak-free.
-func (r *DomainFailResult) Verify() error {
-	if len(r.InjectErrs) > 0 {
-		return fmt.Errorf("domainfail: injection errors: %v", r.InjectErrs)
-	}
-	if r.Errors != 0 {
-		return fmt.Errorf("domainfail: %d of %d queries dropped", r.Errors, r.Submitted)
-	}
-	if r.DownDomains != 0 {
-		return fmt.Errorf("domainfail: %d domains still down after the drain", r.DownDomains)
-	}
-	if r.InFlight != 0 {
-		return fmt.Errorf("domainfail: %d recoveries still in flight", r.InFlight)
-	}
-	if r.QueuedClaims != 0 {
-		return fmt.Errorf("domainfail: %d triage claims still queued", r.QueuedClaims)
-	}
-	if r.ResidualDegraded != 0 {
-		return fmt.Errorf("domainfail: %d instances still degraded", r.ResidualDegraded)
-	}
-	if r.QuarantinedEnd != 0 {
-		return fmt.Errorf("domainfail: %d instances still quarantined", r.QuarantinedEnd)
-	}
-	if r.ActiveNodes != r.ExpectedActive || r.FailedNodes != 0 || r.RepairingNodes != 0 {
-		return fmt.Errorf("domainfail: pool leak — active %d (want %d), failed %d, repairing %d",
-			r.ActiveNodes, r.ExpectedActive, r.FailedNodes, r.RepairingNodes)
-	}
 	return nil
-}
-
-// RunDomainFail drives a seeded correlated-failure storm against every group
-// of a shared-domain deployment on a multi-domain pool: whole failure domains
-// go down and come back per the schedule while every tenant replays its
-// logged traffic. Spread placement, the scarcity triage, quarantine
-// re-routing, and post-restoration re-spread respond when armed; bare
-// deployments just eat the outages. Deterministic: same seed and deployment
-// ⇒ byte-identical telemetry.
-func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
-	logs []*workload.TenantLog, cfg DomainFailConfig) (*DomainFailResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if dep.Sharded() {
-		return nil, fmt.Errorf("domainfail: requires a shared-domain deployment")
-	}
-	if eng == nil {
-		return nil, fmt.Errorf("domainfail: nil engine")
-	}
-	pool := dep.Pool()
-	if pool.Domains() < 2 {
-		return nil, fmt.Errorf("domainfail: pool has %d failure domains, need ≥2", pool.Domains())
-	}
-	if cfg.SLASlack <= 0 {
-		cfg.SLASlack = 2.5
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 10 * time.Minute
-	}
-	if cfg.DrainSlack <= 0 {
-		cfg.DrainSlack = 24 * time.Hour
-	}
-	groups := dep.Groups()
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("domainfail: empty deployment")
-	}
-	sched := cfg.Schedule
-	if sched == nil {
-		sched = BuildOutages(pool.Domains(), cfg)
-	}
-	if err := ValidateOutages(sched, pool.Domains(), cfg.From, cfg.To); err != nil {
-		return nil, err
-	}
-	res := &DomainFailResult{
-		Schedule:    sched,
-		TriageArmed: dep.Triage() != nil,
-		MinRTTTP:    1,
-	}
-	if len(cfg.Slowdowns) > 0 {
-		if err := ValidateSlowdowns(cfg.Slowdowns, cfg.From, cfg.To); err != nil {
-			return nil, err
-		}
-		if err := applySlowdowns(eng, dep, cfg.Slowdowns); err != nil {
-			return nil, err
-		}
-	}
-	applyOutages(eng, dep, sched, res)
-
-	// Schedule every tenant's logged traffic through its group's router.
-	logByID := make(map[string]*workload.TenantLog, len(logs))
-	for _, tl := range logs {
-		logByID[tl.Tenant.ID] = tl
-	}
-	for _, g := range groups {
-		g := g
-		for _, tn := range g.Members {
-			tl := logByID[tn.ID]
-			if tl == nil {
-				continue
-			}
-			for _, ev := range tl.Materialize(cfg.From, cfg.To) {
-				ev := ev
-				class, ok := cat.ByID(ev.ClassID)
-				if !ok {
-					return nil, fmt.Errorf("domainfail: unknown class %s", ev.ClassID)
-				}
-				sla := sim.Time(float64(ev.SLATarget) * cfg.SLASlack)
-				res.Submitted++
-				eng.Schedule(ev.At, func(sim.Time) {
-					if _, err := g.Router.SubmitWithTarget(ev.Tenant, class, sla); err != nil {
-						res.Errors++
-					}
-				})
-			}
-		}
-	}
-
-	// Sample the worst RT-TTP across all groups through the window.
-	var sample func(sim.Time)
-	sample = func(sim.Time) {
-		for _, g := range groups {
-			if rt := g.Monitor.RTTTP(); rt < res.MinRTTTP {
-				res.MinRTTTP = rt
-			}
-		}
-		if next := eng.Now().Add(cfg.SampleEvery); next < cfg.To {
-			eng.Schedule(next, sample)
-		}
-	}
-	eng.Schedule(cfg.From, sample)
-
-	eng.Run(cfg.To)
-	eng.Run(cfg.To.Add(cfg.DrainSlack))
-
-	// Condense: recovery/triage/respread tallies, spread end-state, SLA
-	// attainment, and the pool leak check.
-	for _, g := range groups {
-		for _, inst := range g.Instances {
-			res.ExpectedActive += inst.Nodes()
-			if inst.FailedNodes() > 0 {
-				res.ResidualDegraded++
-			}
-		}
-		res.QuarantinedEnd += g.Router.Quarantined()
-		if g.Recovery != nil {
-			res.InFlight += g.Recovery.InProgress()
-			res.Respreads += g.Recovery.Respreads()
-			for _, ev := range g.Recovery.Events() {
-				res.Lifecycles++
-				if ev.Recovered() {
-					res.Recovered++
-				}
-				if ev.Triaged {
-					res.Triaged++
-				}
-			}
-		}
-		if len(g.Instances) >= 2 {
-			doms := map[int]bool{}
-			for _, inst := range g.Instances {
-				for _, d := range pool.OwnerDomains(inst.ID()) {
-					doms[d] = true
-				}
-			}
-			if len(doms) < 2 {
-				res.CollapsedGroups++
-			}
-		}
-	}
-	if tri := dep.Triage(); tri != nil {
-		res.TriageEnqueued, res.TriageGranted = tri.Stats()
-		res.QueuedClaims = len(tri.Queued())
-	}
-	res.DownDomains = len(pool.DownDomains())
-
-	var met, missed int64
-	res.MinAttainment = 1
-	for _, tn := range dep.Telemetry().SLA.Report() {
-		met += tn.Met
-		missed += tn.Missed
-		if tn.Attainment < res.MinAttainment {
-			res.MinAttainment = tn.Attainment
-		}
-	}
-	if met+missed > 0 {
-		res.Attainment = float64(met) / float64(met+missed)
-	} else {
-		res.Attainment = 1
-	}
-	res.ActiveNodes = pool.CountState(cluster.Active)
-	res.FailedNodes = pool.CountState(cluster.Failed)
-	res.RepairingNodes = pool.CountState(cluster.Repairing)
-	return res, nil
 }

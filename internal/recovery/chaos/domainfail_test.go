@@ -1,157 +1,100 @@
 package chaos
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/queries"
 	"repro/internal/recovery"
+	"repro/internal/replay"
 	"repro/internal/sim"
-	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
 // domainWorld builds a shared-domain deployment on a multi-domain pool for
-// correlated-failure storms. spread/triage arm the PR-9 defenses; slackPct
-// sizes the spare capacity (scarce by design, so a whole-domain loss forces
-// the triage queue to form).
+// correlated-failure storms. spread/triage arm the correlated-failure
+// defenses; slackPct sizes the spare capacity (scarce by design, so a
+// whole-domain loss forces the triage queue to form).
 func domainWorld(t *testing.T, tenants, days, r, domains int, spread, triage bool, slackPct int) *world {
 	t.Helper()
-	cat := queries.Default()
-	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	pop, err := tenant.Population(rng, tenants, 0.8, []int{2}, tenant.ZoneOffsets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := workload.DefaultComposeConfig(3)
-	ccfg.Days = days
-	ccfg.Holidays = 0
-	logs, err := workload.Compose(lib, pop, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := advisor.DefaultConfig()
-	acfg.R = r
-	acfg.FailureDomains = domains
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := adv.Plan(logs, ccfg.Horizon())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := recovery.DefaultConfig()
-	opts := master.Options{
-		Immediate:     true,
-		MonitorWindow: time.Hour,
-		Recovery:      &rcfg,
-		NoSpread:      !spread,
-	}
-	if triage {
-		tc := recovery.DefaultTriageConfig()
-		opts.Triage = &tc
-	}
-	used := plan.NodesUsed()
-	pool := cluster.NewPoolDomains(used+(used*slackPct+99)/100, domains)
-	eng := sim.NewEngine()
-	m := master.New(eng, pool, opts)
-	byID := map[string]*tenant.Tenant{}
-	for _, tn := range pop {
-		byID[tn.ID] = tn
-	}
-	dep, err := m.Deploy(plan, byID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
+	return buildWorld(t, tenants, days, r, domains,
+		func(used int) *cluster.Pool { return cluster.NewPoolDomains(used+(used*slackPct+99)/100, domains) },
+		func([]*workload.TenantLog) master.Options {
+			rcfg := recovery.DefaultConfig()
+			opts := master.Options{Immediate: true, MonitorWindow: time.Hour, Recovery: &rcfg, NoSpread: !spread}
+			if triage {
+				tc := recovery.DefaultTriageConfig()
+				opts.Triage = &tc
+			}
+			return opts
+		})
 }
 
 func domainStormConfig() DomainFailConfig {
 	cfg := DefaultDomainFailConfig()
 	cfg.Seed = 7
-	cfg.From, cfg.To = 0, 12*sim.Hour
 	cfg.Duration = 2 * time.Hour
-	// Table 5.1 reloads of the bigger groups run for hours; triage queues
-	// drain only after the domain returns.
-	cfg.DrainSlack = 48 * time.Hour
 	return cfg
 }
 
-// TestDomainSmoke is the bounded CI gate (make domain-smoke): a short seeded
+// domainWindow replays half a day; Table 5.1 reloads of the bigger groups
+// run for hours, and triage queues drain only after the domain returns.
+func domainWindow() replay.Options {
+	return replay.Options{To: 12 * sim.Hour, SLASlack: 2.5, DrainSlack: 48 * time.Hour}
+}
+
+// outage replays every tenant under a domain-outage schedule — sched, or
+// one built from cfg when sched is nil — composed after opts' injectors.
+func (w *world) outage(t *testing.T, sched []DomainOutage, cfg DomainFailConfig, opts replay.Options) (*Outages, *replay.Report, replay.Outcome) {
+	t.Helper()
+	if sched == nil {
+		var err error
+		if sched, err = BuildOutages(w.dep.Pool().Domains(), opts.From, opts.To, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := &Outages{Schedule: sched}
+	opts.Injectors = append(opts.Injectors, o)
+	rep, out, err := w.replay(MemberLogs(w.logs, w.dep.Groups()...), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(o.Errs) > 0 {
+		t.Fatalf("injection errors: %v", o.Errs)
+	}
+	return o, rep, out
+}
+
+// TestDomainSmoke is the bounded CI gate (make fault-smoke): a short seeded
 // whole-domain outage against a protected deployment (spread placement +
 // scarcity triage) must be absorbed — zero dropped queries, every recovery
 // and triage claim drained, pool leak-free.
 func TestDomainSmoke(t *testing.T) {
 	w := domainWorld(t, 12, 1, 3, 3, true, true, 20)
-	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, domainStormConfig())
-	if err != nil {
-		t.Fatal(err)
+	o, rep, out := w.outage(t, nil, domainStormConfig(), domainWindow())
+	if err := out.Verify(); err != nil {
+		t.Fatalf("domain smoke: %v (%+v)", err, out)
 	}
-	if err := res.Verify(); err != nil {
-		t.Fatalf("domain smoke: %v (%+v)", err, res)
-	}
-	if !res.TriageArmed {
+	if w.dep.Triage() == nil {
 		t.Fatal("smoke deployment has no triage allocator")
 	}
-	if res.Casualties == 0 {
-		t.Fatalf("outages killed no nodes: %+v", res.Schedule)
+	if o.Casualties == 0 {
+		t.Fatalf("outages killed no nodes: %+v", o.Schedule)
 	}
-	if res.Quarantines == 0 {
+	if o.Quarantines == 0 {
 		t.Error("no fully covered instance was quarantined — spread placement should put whole instances in one domain")
 	}
-	if res.Lifecycles == 0 || res.Recovered != res.Lifecycles {
-		t.Errorf("recovered %d of %d lifecycles", res.Recovered, res.Lifecycles)
+	if out.Lifecycles == 0 || out.Recovered != out.Lifecycles {
+		t.Errorf("recovered %d of %d lifecycles", out.Recovered, out.Lifecycles)
 	}
 	met, missed := slaTotals(w)
-	if got, want := int(met+missed), res.Submitted-res.Errors; got != want {
+	if got, want := int(met+missed), rep.Submitted-rep.SubmitErrors; got != want {
 		t.Errorf("SLA report counts %d queries, want %d", got, want)
 	}
+	enq, granted := w.dep.Triage().Stats()
 	t.Logf("casualties %d, quarantines %d, lifecycles %d (triaged %d), triage %d/%d, attainment %.4f",
-		res.Casualties, res.Quarantines, res.Lifecycles, res.Triaged,
-		res.TriageEnqueued, res.TriageGranted, res.Attainment)
-}
-
-// TestDomainFailTelemetryDeterminism: two fresh same-seed protected storms
-// emit byte-identical telemetry — spread acquisition, domain injection,
-// triage polling, quarantine, and re-spread all preserve the shared-domain
-// determinism contract.
-func TestDomainFailTelemetryDeterminism(t *testing.T) {
-	dump := func() (string, string) {
-		w := domainWorld(t, 12, 1, 3, 3, true, true, 20)
-		if _, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, domainStormConfig()); err != nil {
-			t.Fatal(err)
-		}
-		hub := w.dep.Telemetry()
-		var ev, tr bytes.Buffer
-		if err := hub.Events.Dump(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if err := hub.Tracer.Dump(&tr); err != nil {
-			t.Fatal(err)
-		}
-		return ev.String(), tr.String()
-	}
-	ev1, tr1 := dump()
-	ev2, tr2 := dump()
-	if ev1 != ev2 {
-		t.Fatal("same-seed domain-fail runs emitted different event dumps")
-	}
-	if tr1 != tr2 {
-		t.Fatal("same-seed domain-fail runs emitted different trace dumps")
-	}
-	if len(ev1) == 0 {
-		t.Fatal("domain-fail run emitted no events")
-	}
+		o.Casualties, o.Quarantines, out.Lifecycles, out.Triaged, enq, granted, out.Attainment)
 }
 
 // TestDomainFailRolling marches outages through consecutive domains with
@@ -162,56 +105,46 @@ func TestDomainFailRolling(t *testing.T) {
 	cfg := domainStormConfig()
 	cfg.Rolling = true
 	cfg.Outages = 3
-	cfg.To = 18 * sim.Hour
-	cfg.DrainSlack = 60 * time.Hour
-	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Schedule) != 3 {
-		t.Fatalf("rolling schedule has %d outages, want 3", len(res.Schedule))
+	o, _, out := w.outage(t, nil, cfg, replay.Options{To: 18 * sim.Hour, SLASlack: 2.5, DrainSlack: 60 * time.Hour})
+	if len(o.Schedule) != 3 {
+		t.Fatalf("rolling schedule has %d outages, want 3", len(o.Schedule))
 	}
 	doms := map[int]bool{}
-	for _, o := range res.Schedule {
-		doms[o.Domain] = true
+	for _, d := range o.Schedule {
+		doms[d.Domain] = true
 	}
 	if len(doms) != 3 {
-		t.Errorf("rolling storm hit %d distinct domains, want 3: %+v", len(doms), res.Schedule)
+		t.Errorf("rolling storm hit %d distinct domains, want 3: %+v", len(doms), o.Schedule)
 	}
-	if err := res.Verify(); err != nil {
-		t.Fatalf("rolling storm: %v (%+v)", err, res)
+	if err := out.Verify(); err != nil {
+		t.Fatalf("rolling storm: %v (%+v)", err, out)
 	}
 }
 
-// TestDomainFailDuringGrayDrain composes the PR-8 and PR-9 failure classes:
-// a stuck fail-slow episode overlaps a whole-domain outage, so the gray
-// ladder's drain-and-replace races the correlated casualty rush for the same
-// scarce pool. Both controllers share the triage without tripping over each
-// other.
+// TestDomainFailDuringGrayDrain composes the fail-slow and correlated
+// failure classes: a stuck fail-slow episode overlaps a whole-domain
+// outage, so the gray ladder's drain-and-replace races the correlated
+// casualty rush for the same scarce pool. Both controllers share the triage
+// without tripping over each other.
 func TestDomainFailDuringGrayDrain(t *testing.T) {
 	w := domainWorld(t, 12, 1, 3, 3, true, true, 25)
-	target := w.dep.Groups()[0]
-	for _, g := range w.dep.Groups()[1:] {
-		if len(g.Members) > len(target.Members) {
-			target = g
-		}
-	}
-	cfg := domainStormConfig()
-	cfg.Schedule = []DomainOutage{{At: 2 * sim.Hour, Duration: 2 * time.Hour, Domain: 0}}
-	cfg.Slowdowns = []Slowdown{{
-		At: sim.Hour, Duration: 4 * time.Hour,
-		Group: target.Plan.ID, Instance: 0,
-		Profile: ProfileStuck, Factor: 0.25,
-	}}
-	cfg.DrainSlack = 72 * time.Hour
-	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, cfg)
+	target, err := LargestGroup(w.dep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
-		t.Fatalf("outage during gray episode: %v (%+v)", err, res)
+	opts := domainWindow()
+	opts.DrainSlack = 72 * time.Hour
+	opts.Injectors = []replay.Injector{Slowdowns{{
+		At: sim.Hour, Duration: 4 * time.Hour,
+		Group: target.Plan.ID, Instance: 0,
+		Profile: ProfileStuck, Factor: 0.25,
+	}}}
+	o, _, out := w.outage(t, []DomainOutage{{At: 2 * sim.Hour, Duration: 2 * time.Hour, Domain: 0}},
+		domainStormConfig(), opts)
+	if err := out.Verify(); err != nil {
+		t.Fatalf("outage during gray episode: %v (%+v)", err, out)
 	}
-	if res.Casualties == 0 {
+	if o.Casualties == 0 {
 		t.Fatal("domain outage killed no nodes")
 	}
 }
@@ -223,66 +156,61 @@ func TestDomainFailDuringGrayDrain(t *testing.T) {
 // and end the run spanning both domains again.
 func TestDomainRespread(t *testing.T) {
 	w := domainWorld(t, 6, 1, 2, 2, true, true, 60)
-	cfg := domainStormConfig()
-	cfg.Schedule = []DomainOutage{{At: 2 * sim.Hour, Duration: 4 * time.Hour, Domain: 1}}
-	cfg.DrainSlack = 96 * time.Hour
-	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	opts := domainWindow()
+	opts.DrainSlack = 96 * time.Hour
+	_, _, out := w.outage(t, []DomainOutage{{At: 2 * sim.Hour, Duration: 4 * time.Hour, Domain: 1}},
+		domainStormConfig(), opts)
+	if err := out.Verify(); err != nil {
+		t.Fatalf("respread run: %v (%+v)", err, out)
 	}
-	if err := res.Verify(); err != nil {
-		t.Fatalf("respread run: %v (%+v)", err, res)
+	if out.Respreads == 0 {
+		t.Fatalf("no re-spread cutover happened (collapsed groups at end: %d)", out.Collapsed)
 	}
-	if res.Respreads == 0 {
-		t.Fatalf("no re-spread cutover happened (collapsed groups at end: %d)", res.CollapsedGroups)
-	}
-	if res.CollapsedGroups != 0 {
-		t.Errorf("%d groups still collapsed onto one domain after re-spread", res.CollapsedGroups)
+	if out.Collapsed != 0 {
+		t.Errorf("%d groups still collapsed onto one domain after re-spread", out.Collapsed)
 	}
 }
 
 // TestDomainOutageValidation rejects malformed schedules, single-domain
 // pools, and sharded deployments before any injection runs.
 func TestDomainOutageValidation(t *testing.T) {
-	if err := ValidateOutages([]DomainOutage{
-		{At: sim.Hour, Duration: time.Hour, Domain: 5},
-	}, 3, 0, sim.Day); err == nil {
-		t.Error("out-of-range domain accepted")
+	schedules := []struct {
+		name  string
+		sched []DomainOutage
+		ok    bool
+	}{
+		{"out-of-range domain", []DomainOutage{{At: sim.Hour, Duration: time.Hour, Domain: 5}}, false},
+		{"zero duration", []DomainOutage{{At: sim.Hour, Duration: 0, Domain: 0}}, false},
+		{"outage outside the window", []DomainOutage{{At: 2 * sim.Day, Duration: time.Hour, Domain: 0}}, false},
+		{"same-domain overlap", []DomainOutage{
+			{At: sim.Hour, Duration: 2 * time.Hour, Domain: 0},
+			{At: 2 * sim.Hour, Duration: time.Hour, Domain: 0},
+		}, false},
+		{"cross-domain overlap", []DomainOutage{
+			{At: sim.Hour, Duration: 2 * time.Hour, Domain: 0},
+			{At: 2 * sim.Hour, Duration: time.Hour, Domain: 1},
+		}, true},
 	}
-	if err := ValidateOutages([]DomainOutage{
-		{At: sim.Hour, Duration: 0, Domain: 0},
-	}, 3, 0, sim.Day); err == nil {
-		t.Error("zero duration accepted")
-	}
-	if err := ValidateOutages([]DomainOutage{
-		{At: 2 * sim.Day, Duration: time.Hour, Domain: 0},
-	}, 3, 0, sim.Day); err == nil {
-		t.Error("outage outside the window accepted")
-	}
-	if err := ValidateOutages([]DomainOutage{
-		{At: sim.Hour, Duration: 2 * time.Hour, Domain: 0},
-		{At: 2 * sim.Hour, Duration: time.Hour, Domain: 0},
-	}, 3, 0, sim.Day); err == nil {
-		t.Error("same-domain overlap accepted")
-	}
-	if err := ValidateOutages([]DomainOutage{
-		{At: sim.Hour, Duration: 2 * time.Hour, Domain: 0},
-		{At: 2 * sim.Hour, Duration: time.Hour, Domain: 1},
-	}, 3, 0, sim.Day); err != nil {
-		t.Errorf("cross-domain overlap rejected: %v", err)
+	for _, tc := range schedules {
+		if err := ValidateOutages(tc.sched, 3, 0, sim.Day); (err == nil) != tc.ok {
+			t.Errorf("%s: ValidateOutages = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 
-	// Single-domain pools cannot host a correlated-failure storm.
-	single := newWorld(t, 6, 1, 2, false, 2)
-	cfg := DefaultDomainFailConfig()
-	cfg.From, cfg.To = 0, sim.Hour
-	if _, err := RunDomainFail(single.eng, single.dep, single.cat, single.logs, cfg); err == nil {
-		t.Error("single-domain pool accepted")
+	// Single-domain pools cannot host a correlated-failure storm, and
+	// sharded deployments are rejected (cross-domain injection).
+	worlds := []struct {
+		name string
+		w    *world
+	}{
+		{"single-domain pool", newWorld(t, 6, 1, 2, false, 2)},
+		{"sharded deployment", newWorld(t, 6, 1, 2, true, 2)},
 	}
-
-	// Sharded deployments are rejected (cross-domain injection).
-	sharded := newWorld(t, 6, 1, 2, true, 2)
-	if _, err := RunDomainFail(sharded.eng, sharded.dep, sharded.cat, sharded.logs, cfg); err == nil {
-		t.Error("sharded deployment accepted")
+	window := replay.Options{To: sim.Hour}
+	for _, tc := range worlds {
+		window.Injectors = []replay.Injector{&Outages{Schedule: []DomainOutage{}}}
+		if _, _, err := tc.w.replay(tc.w.logs, window); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

@@ -1,19 +1,15 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/queries"
 	"repro/internal/recovery"
+	"repro/internal/replay"
 	"repro/internal/sim"
-	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -37,55 +33,66 @@ func testGrayConfig() recovery.GrayConfig {
 // drain-and-replace has spares.
 func grayWorld(t *testing.T, tenants, days int, gray *recovery.GrayConfig) *world {
 	t.Helper()
-	cat := queries.Default()
-	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	pop, err := tenant.Population(rng, tenants, 0.8, []int{2}, tenant.ZoneOffsets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := workload.DefaultComposeConfig(3)
-	ccfg.Days = days
-	ccfg.Holidays = 0
-	logs, err := workload.Compose(lib, pop, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := advisor.DefaultConfig()
-	acfg.R = 2
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := adv.Plan(logs, ccfg.Horizon())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := master.Options{Immediate: true, MonitorWindow: time.Hour, Gray: gray}
-	eng := sim.NewEngine()
-	pool := cluster.NewPool(2 * plan.NodesUsed())
-	m := master.New(eng, pool, opts)
-	byID := map[string]*tenant.Tenant{}
-	for _, tn := range pop {
-		byID[tn.ID] = tn
-	}
-	dep, err := m.Deploy(plan, byID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
+	return buildWorld(t, tenants, days, 2, 0,
+		func(used int) *cluster.Pool { return cluster.NewPool(2 * used) },
+		func([]*workload.TenantLog) master.Options {
+			return master.Options{Immediate: true, MonitorWindow: time.Hour, Gray: gray}
+		})
 }
 
 func grayStormConfig() GrayFailConfig {
 	cfg := DefaultGrayFailConfig()
 	cfg.Seed = 11
-	cfg.From, cfg.To = 0, 12*sim.Hour
-	// Drain-and-replace pays the Table 5.1 reload of the group's data share.
-	cfg.DrainSlack = 48 * time.Hour
 	return cfg
+}
+
+// grayWindow replays half a day; drain-and-replace pays the Table 5.1
+// reload of the group's data share.
+func grayWindow() replay.Options {
+	return replay.Options{To: 12 * sim.Hour, SLASlack: 2.5, DrainSlack: 48 * time.Hour}
+}
+
+// grayRun is a fail-slow storm's outcome on the largest group.
+type grayRun struct {
+	target *master.DeployedGroup
+	rep    *replay.Report
+	out    replay.Outcome
+	// confirmed and drained count the detector episodes reaching each
+	// rung; hedged counts the router's hedged queries.
+	confirmed, drained int
+	hedged, hedgeWins  int64
+}
+
+// gray replays the largest group's members under a fail-slow schedule —
+// sched, or one built from cfg when sched is nil.
+func (w *world) gray(t *testing.T, sched Slowdowns, cfg GrayFailConfig, opts replay.Options) grayRun {
+	t.Helper()
+	target, err := LargestGroup(w.dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched == nil {
+		if sched, err = BuildSlowdowns(target, opts.From, opts.To, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts.Injectors = []replay.Injector{sched}
+	r := grayRun{target: target}
+	if r.rep, r.out, err = w.replay(MemberLogs(w.logs, target), opts); err != nil {
+		t.Fatal(err)
+	}
+	if target.Gray != nil {
+		for _, ev := range target.Gray.Events() {
+			if ev.Confirmed > 0 {
+				r.confirmed++
+			}
+			if ev.Drained > 0 {
+				r.drained++
+			}
+		}
+	}
+	r.hedged, r.hedgeWins = target.Router.HedgeStats()
+	return r
 }
 
 // slaTotals sums met/missed over the deployment's per-tenant SLA report.
@@ -105,121 +112,74 @@ func slaTotals(w *world) (met, missed int64) {
 // baseline. The SLA accounting must balance exactly — hedged duplicates
 // never double-count.
 func TestGrayFailLadder(t *testing.T) {
-	cfg := grayStormConfig()
-
 	base := grayWorld(t, 12, 2, nil)
-	baseRes, err := RunGrayFail(base.eng, base.dep, base.cat, base.logs, GrayFailConfig{
-		Seed: cfg.Seed, From: cfg.From, To: cfg.To, DrainSlack: cfg.DrainSlack,
-		Slowdowns: []Slowdown{}, // explicit empty schedule: the no-fault arm
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := baseRes.Verify(); err != nil {
+	baseRun := base.gray(t, Slowdowns{}, grayStormConfig(), grayWindow()) // the no-fault arm
+	if err := baseRun.out.Verify(); err != nil {
 		t.Fatalf("no-fault baseline: %v", err)
 	}
 
 	bare := grayWorld(t, 12, 2, nil)
-	bareRes, err := RunGrayFail(bare.eng, bare.dep, bare.cat, bare.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bareRes.GrayArmed {
+	bareRun := bare.gray(t, nil, grayStormConfig(), grayWindow())
+	if bareRun.target.Gray != nil {
 		t.Fatal("bare run unexpectedly has the detector armed")
 	}
-	if bareRes.Suspected != 0 || bareRes.Hedged != 0 {
-		t.Fatalf("bare run shows detector activity: %d suspected, %d hedged",
-			bareRes.Suspected, bareRes.Hedged)
+	if bareRun.hedged != 0 {
+		t.Fatalf("bare run shows detector activity: %d hedged", bareRun.hedged)
 	}
-	if err := bareRes.Verify(); err != nil {
+	if err := bareRun.out.Verify(); err != nil {
 		t.Fatalf("bare run: %v", err)
 	}
 
 	gcfg := testGrayConfig()
 	prot := grayWorld(t, 12, 2, &gcfg)
-	protRes, err := RunGrayFail(prot.eng, prot.dep, prot.cat, prot.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !protRes.GrayArmed {
+	protRun := prot.gray(t, nil, grayStormConfig(), grayWindow())
+	if protRun.target.Gray == nil {
 		t.Fatal("protected run has no detector")
 	}
-	if err := protRes.Verify(); err != nil {
-		t.Fatalf("protected run: %v (events %+v)", err, protRes.GrayEvents)
+	if err := protRun.out.Verify(); err != nil {
+		t.Fatalf("protected run: %v (events %+v)", err, protRun.target.Gray.Events())
 	}
-	if protRes.Hedged == 0 {
+	if protRun.confirmed == 0 {
+		t.Fatal("detector armed but never confirmed a gray instance")
+	}
+	if protRun.hedged == 0 {
 		t.Fatal("protected run never hedged a query")
 	}
-	if protRes.Attainment < baseRes.Attainment-0.01 {
+	if protRun.out.Attainment < baseRun.out.Attainment-0.01 {
 		t.Errorf("protected attainment %.4f more than a point below no-fault %.4f (bare %.4f)",
-			protRes.Attainment, baseRes.Attainment, bareRes.Attainment)
+			protRun.out.Attainment, baseRun.out.Attainment, bareRun.out.Attainment)
 	}
 	// Hedge accounting: exactly one SLA-counted record per successful submit,
 	// end to end through the monitor into the per-tenant report.
 	met, missed := slaTotals(prot)
-	if got, want := int(met+missed), protRes.Submitted-protRes.Errors; got != want {
+	if got, want := int(met+missed), protRun.rep.Submitted-protRun.rep.SubmitErrors; got != want {
 		t.Errorf("SLA report counts %d queries, want %d (submitted %d, errors %d) — hedges double-counted?",
-			got, want, protRes.Submitted, protRes.Errors)
+			got, want, protRun.rep.Submitted, protRun.rep.SubmitErrors)
 	}
-	t.Logf("attainment no-fault %.4f / bare %.4f / protected %.4f; episodes %d/%d/%d; hedged %d (%d peer wins)",
-		baseRes.Attainment, bareRes.Attainment, protRes.Attainment,
-		protRes.Suspected, protRes.Confirmed, protRes.Drained, protRes.Hedged, protRes.HedgeWins)
+	t.Logf("attainment no-fault %.4f / bare %.4f / protected %.4f; episodes confirmed %d, drained %d; hedged %d (%d peer wins)",
+		baseRun.out.Attainment, bareRun.out.Attainment, protRun.out.Attainment,
+		protRun.confirmed, protRun.drained, protRun.hedged, protRun.hedgeWins)
 }
 
-// TestGrayFailTelemetryDeterminism: two fresh same-seed protected storms emit
-// byte-identical telemetry — the whole ladder (hedging, cancellation, drain,
-// reload) preserves the shared-domain determinism contract.
-func TestGrayFailTelemetryDeterminism(t *testing.T) {
-	dump := func() (string, string) {
-		gcfg := testGrayConfig()
-		w := grayWorld(t, 12, 2, &gcfg)
-		if _, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, grayStormConfig()); err != nil {
-			t.Fatal(err)
-		}
-		hub := w.dep.Telemetry()
-		var ev, tr bytes.Buffer
-		if err := hub.Events.Dump(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if err := hub.Tracer.Dump(&tr); err != nil {
-			t.Fatal(err)
-		}
-		return ev.String(), tr.String()
-	}
-	ev1, tr1 := dump()
-	ev2, tr2 := dump()
-	if ev1 != ev2 {
-		t.Fatal("same-seed gray-fail runs emitted different event dumps")
-	}
-	if tr1 != tr2 {
-		t.Fatal("same-seed gray-fail runs emitted different trace dumps")
-	}
-	if len(ev1) == 0 {
-		t.Fatal("gray-fail run emitted no events")
-	}
-}
-
-// TestGraySmoke is the bounded CI gate (make gray-smoke): a short seeded
+// TestGraySmoke is the bounded CI gate (make fault-smoke): a short seeded
 // storm against a protected deployment must be confirmed and contained.
 func TestGraySmoke(t *testing.T) {
 	cfg := grayStormConfig()
-	cfg.To = 6 * sim.Hour
 	cfg.Episodes = 2
-	cfg.DrainSlack = 36 * time.Hour
 	gcfg := testGrayConfig()
 	w := grayWorld(t, 12, 1, &gcfg)
-	res, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, cfg)
-	if err != nil {
+	r := w.gray(t, nil, cfg, replay.Options{To: 6 * sim.Hour, SLASlack: 2.5, DrainSlack: 36 * time.Hour})
+	if err := r.out.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
-		t.Fatal(err)
+	if r.confirmed == 0 {
+		t.Fatal("detector armed but never confirmed a gray instance")
 	}
-	if res.Hedged == 0 {
-		t.Fatalf("smoke storm never hedged: %+v", res)
+	if r.hedged == 0 {
+		t.Fatalf("smoke storm never hedged: %+v", r.out)
 	}
 	met, missed := slaTotals(w)
-	if got, want := int(met+missed), res.Submitted-res.Errors; got != want {
+	if got, want := int(met+missed), r.rep.Submitted-r.rep.SubmitErrors; got != want {
 		t.Fatalf("SLA report counts %d queries, want %d", got, want)
 	}
 }
@@ -234,12 +194,9 @@ func TestGrayDoubleFailureSoak(t *testing.T) {
 	gcfg := testGrayConfig()
 	gcfg.DrainAfter = 30 * time.Minute // eager: the stuck episode must reach the drain rung
 	w := grayWorld(t, 12, 2, &gcfg)
-	groups := w.dep.Groups()
-	target := groups[0]
-	for _, g := range groups[1:] {
-		if len(g.Members) > len(target.Members) {
-			target = g
-		}
+	target, err := LargestGroup(w.dep)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(target.Instances) < 2 {
 		t.Fatalf("target group has %d instances, need 2 for a double failure", len(target.Instances))
@@ -265,22 +222,18 @@ func TestGrayDoubleFailureSoak(t *testing.T) {
 	crash(90*sim.Minute, target.Instances[1])
 	crash(30*sim.Hour, target.Instances[1])
 
-	cfg := grayStormConfig()
-	cfg.DrainSlack = 72 * time.Hour
-	cfg.Slowdowns = []Slowdown{{
+	opts := grayWindow()
+	opts.DrainSlack = 72 * time.Hour
+	r := w.gray(t, Slowdowns{{
 		At: sim.Hour, Duration: 3 * time.Hour,
 		Group: target.Plan.ID, Instance: 0,
 		Profile: ProfileStuck, Factor: 0.25,
-	}}
-	res, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	}}, grayStormConfig(), opts)
+	if err := r.out.Verify(); err != nil {
+		t.Fatalf("double-failure soak: %v (gray events %+v)", err, target.Gray.Events())
 	}
-	if err := res.Verify(); err != nil {
-		t.Fatalf("double-failure soak: %v (gray events %+v)", err, res.GrayEvents)
-	}
-	if res.Drained == 0 {
-		t.Errorf("stuck instance never reached the drain rung: %+v", res.GrayEvents)
+	if r.drained == 0 {
+		t.Errorf("stuck instance never reached the drain rung: %+v", target.Gray.Events())
 	}
 	if target.Recovery == nil {
 		t.Fatal("protected group has no crash controller")
@@ -359,37 +312,50 @@ func TestSlowdownScheduleValidation(t *testing.T) {
 // TestGrayFailValidation rejects malformed configs, bad targets, and sharded
 // deployments before any injection runs.
 func TestGrayFailValidation(t *testing.T) {
-	ws := newWorld(t, 6, 1, 2, true, 1) // sharded
-	cfg := DefaultGrayFailConfig()
-	cfg.From, cfg.To = 0, sim.Hour
-	if _, err := RunGrayFail(ws.eng, ws.dep, ws.cat, ws.logs, cfg); err == nil {
-		t.Fatal("sharded deployment accepted")
-	}
-
+	sharded := newWorld(t, 6, 1, 2, true, 1)
 	w := grayWorld(t, 6, 1, nil)
-	bad := cfg
-	bad.To = 0
-	if _, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, bad); err == nil {
-		t.Fatal("empty window accepted")
-	}
-	bad = cfg
-	bad.Factor = 1
-	if _, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, bad); err == nil {
-		t.Fatal("Factor outside (0.05,0.95) accepted")
-	}
-	// Unresolvable targets surface as typed schedule errors at apply time.
-	var se *ScheduleError
-	err := applySlowdowns(w.eng, w.dep, []Slowdown{{
-		At: 0, Duration: time.Hour, Group: "TG-NOPE", Profile: ProfileStuck, Factor: 0.3,
-	}})
-	if !errors.As(err, &se) || se.Reason != "bad_target" {
-		t.Errorf("unknown group: %v, want bad_target ScheduleError", err)
-	}
 	gid := w.dep.Groups()[0].Plan.ID
-	err = applySlowdowns(w.eng, w.dep, []Slowdown{{
-		At: 0, Duration: time.Hour, Group: gid, Instance: 99, Profile: ProfileStuck, Factor: 0.3,
-	}})
-	if !errors.As(err, &se) || se.Reason != "bad_target" {
-		t.Errorf("out-of-range instance: %v, want bad_target ScheduleError", err)
+	window := replay.Options{To: sim.Hour}
+	factorOne := DefaultGrayFailConfig()
+	factorOne.Factor = 1
+	stuck := func(group string, instance int) Slowdowns {
+		return Slowdowns{{At: 0, Duration: time.Hour, Group: group, Instance: instance,
+			Profile: ProfileStuck, Factor: 0.3}}
+	}
+	cases := []struct {
+		name string
+		w    *world
+		// sched is the explicit schedule; nil builds one from cfg.
+		sched  Slowdowns
+		cfg    GrayFailConfig
+		opts   replay.Options
+		reason string // the *ScheduleError reason expected, if any
+	}{
+		{name: "sharded deployment", w: sharded, cfg: DefaultGrayFailConfig(), opts: window},
+		{name: "empty window", w: w, cfg: DefaultGrayFailConfig()},
+		{name: "Factor outside (0.05,0.95)", w: w, cfg: factorOne, opts: window},
+		// Unresolvable targets surface as typed schedule errors at injection.
+		{name: "unknown group", w: w, sched: stuck("TG-NOPE", 0), opts: window, reason: "bad_target"},
+		{name: "out-of-range instance", w: w, sched: stuck(gid, 99), opts: window, reason: "bad_target"},
+	}
+	for _, tc := range cases {
+		target, err := LargestGroup(tc.w.dep)
+		sched := tc.sched
+		if err == nil && sched == nil {
+			sched, err = BuildSlowdowns(target, tc.opts.From, tc.opts.To, tc.cfg)
+		}
+		if err == nil {
+			opts := tc.opts
+			opts.Injectors = []replay.Injector{sched}
+			_, _, err = tc.w.replay(MemberLogs(tc.w.logs, target), opts)
+		}
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+			continue
+		}
+		var se *ScheduleError
+		if tc.reason != "" && (!errors.As(err, &se) || se.Reason != tc.reason) {
+			t.Errorf("%s: %v, want %s ScheduleError", tc.name, err, tc.reason)
+		}
 	}
 }

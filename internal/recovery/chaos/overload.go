@@ -4,27 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/master"
 	"repro/internal/queries"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // OverloadConfig parameterizes a noisy-tenant storm: seeded aggressors in
 // the deployment's largest group submit open-loop at Factor times their
-// contracted rate while every other member replays its logged traffic.
+// contracted rate.
 type OverloadConfig struct {
 	// Seed fixes the aggressor choice and nothing else — the storm itself
 	// is a deterministic function of the aggressor's contract.
 	Seed int64
-	// From and To bound the run window.
-	From, To sim.Time
 	// Aggressors is how many members of the target group run hot
-	// (default 1). Zero is the no-storm control: every member replays its
-	// logged traffic, which measures the group's intrinsic attainment.
+	// (default 1). Zero is the no-storm control, which measures the
+	// group's intrinsic attainment.
 	Aggressors int
 	// Factor is the over-contract multiple the aggressors submit at
 	// (default 5).
@@ -35,142 +33,65 @@ type OverloadConfig struct {
 	Headroom float64
 	// MaxStorm bounds each aggressor's storm submissions (default 2000).
 	MaxStorm int
-	// SLASlack scales each replayed query's logged duration into its SLO
-	// target (default 2.5). The logged duration is the zero-headroom
-	// pre-consolidation latency, and the advisor's P guarantee already
-	// prices in transient <=(1-P) overflow windows — a slack of 2.5 forgives
-	// worst-case full-duration sharing with a single co-tenant (processor
-	// sharing doubles latency) and flags only the sustained pile-ups a storm
-	// causes.
-	SLASlack float64
-	// SampleEvery is the RT-TTP sampling period (default 10 min).
-	SampleEvery time.Duration
-	// DrainSlack extends the post-window settle time (default 6 h).
-	DrainSlack time.Duration
 }
 
 // DefaultOverloadConfig returns a single 5×-over-contract aggressor.
 func DefaultOverloadConfig() OverloadConfig {
 	return OverloadConfig{
-		Seed:        1,
-		Aggressors:  1,
-		Factor:      5,
-		Headroom:    2,
-		MaxStorm:    2000,
-		SLASlack:    2.5,
-		SampleEvery: 10 * time.Minute,
-		DrainSlack:  6 * time.Hour,
+		Seed:       1,
+		Aggressors: 1,
+		Factor:     5,
+		Headroom:   2,
+		MaxStorm:   2000,
 	}
 }
 
-func (c OverloadConfig) validate() error {
-	if c.To <= c.From {
-		return fmt.Errorf("overload: window [%v,%v)", c.From, c.To)
-	}
-	if c.Aggressors < 0 || (c.Aggressors > 0 && (c.Factor <= 1 || c.MaxStorm < 1)) {
-		return fmt.Errorf("overload: Aggressors=%d Factor=%v MaxStorm=%d",
-			c.Aggressors, c.Factor, c.MaxStorm)
-	}
-	return nil
-}
-
-// TenantOutcome is one target-group member's storm outcome.
-type TenantOutcome struct {
-	Tenant    string
-	Aggressor bool
-	// Met/Missed/Attainment are the tenant's completed-query SLA tallies.
-	Met, Missed int64
-	Attainment  float64
-	// Admitted/Throttled/Shed are the admission controller's accounting
-	// (zero when admission is off).
-	Admitted, Throttled, Shed int64
-}
-
-// OverloadResult condenses a storm run.
-type OverloadResult struct {
-	// Group is the target group the storm hit.
-	Group string
+// Storm is a seeded noisy-tenant storm against the deployment's largest
+// group. As a replay.Injector it schedules each aggressor's open-loop
+// submissions; the storm replaces the aggressors' own logged traffic, so
+// the replay is handed only Logs. Storm submissions go through the group's
+// admission controller whenever one is armed; typed rejections are
+// tallied, never retried.
+type Storm struct {
+	// Group is the target group the storm hits.
+	Group *master.DeployedGroup
 	// Aggressors are the hot tenants' IDs.
 	Aggressors []string
-	// AdmissionOn records whether the deployment had admission armed.
-	AdmissionOn bool
-	// StormSubmitted counts scheduled storm submissions; StormAdmitted
-	// those that reached an MPPDB; StormThrottled the typed 429s;
-	// StormShed the typed 503s; StormErrors routing failures.
-	StormSubmitted, StormAdmitted, StormThrottled, StormShed, StormErrors int
-	// NormalSubmitted/NormalThrottled/NormalShed tally the compliant
-	// members' logged traffic the same way.
-	NormalSubmitted, NormalThrottled, NormalShed int
-	// Outcomes has one row per target-group member, aggressors included,
-	// in group member order.
-	Outcomes []TenantOutcome
-	// MinCompliantAttainment is the worst completed-query SLA attainment
-	// over the compliant (non-aggressor) members.
-	MinCompliantAttainment float64
-	// MinRTTTP is the lowest sampled RT-TTP of the target group.
-	MinRTTTP float64
+	// Submitted counts scheduled storm submissions; Admitted those that
+	// reached an MPPDB; Throttled the typed 429s; Shed the typed 503s;
+	// Errors routing failures.
+	Submitted, Admitted, Throttled, Shed, Errors int
+
+	cfg   OverloadConfig
+	hot   map[string]bool
+	heavy []stormQuery
 }
 
-// Verify checks the overload-protection bar: every compliant member's SLA
-// attainment held the guarantee, and — when admission was armed — the storm
-// was actually contained (throttled or shed, with typed errors).
-func (r *OverloadResult) Verify(p float64) error {
-	for _, o := range r.Outcomes {
-		if !o.Aggressor && o.Attainment < p {
-			return fmt.Errorf("overload: compliant tenant %s attainment %.6f < %.6f",
-				o.Tenant, o.Attainment, p)
-		}
-	}
-	if r.AdmissionOn && r.StormThrottled+r.StormShed == 0 {
-		return fmt.Errorf("overload: admission armed but the storm was never throttled or shed")
-	}
-	return nil
+// stormQuery is one aggressor's hammer: the heaviest query in its own log
+// and the contracted rate the storm multiplies.
+type stormQuery struct {
+	tenant string
+	class  *queries.Class
+	// duration is the query's logged latency, before SLA slack.
+	duration sim.Time
+	rate     float64
 }
 
-// RunOverload drives a seeded noisy-tenant storm against the deployment's
-// largest group on a shared clock domain: the chosen aggressors submit
-// open-loop at Factor times their contracted rate (the contract derived
-// from their own logs, whether or not admission is armed — so baseline and
-// protected runs face the identical storm) while the remaining members
-// replay their logged queries. Submissions go through the group's
-// admission controller when armed; typed rejections are tallied, never
-// retried. Deterministic: same seed and deployment ⇒ byte-identical
-// telemetry.
-func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
-	logs []*workload.TenantLog, cfg OverloadConfig) (*OverloadResult, error) {
-	if err := cfg.validate(); err != nil {
+// NewStorm targets the deployment's largest group and picks cfg.Aggressors
+// of its members by seed. Each aggressor hammers the heaviest query in its
+// own log — an open loop of long queries backlogs the aggressor's
+// instance, so overflow traffic landing there shares with the whole
+// pile-up — at Factor times the contract derived from that log, whether or
+// not admission is armed, so bare and protected runs face the identical
+// storm.
+func NewStorm(dep *master.Deployment, cat *queries.Catalog, logs []*workload.TenantLog, cfg OverloadConfig) (*Storm, error) {
+	if cfg.Aggressors < 0 || (cfg.Aggressors > 0 && (cfg.Factor <= 1 || cfg.MaxStorm < 1 || cfg.Headroom <= 0)) {
+		return nil, fmt.Errorf("overload: Aggressors=%d Factor=%v MaxStorm=%d Headroom=%v",
+			cfg.Aggressors, cfg.Factor, cfg.MaxStorm, cfg.Headroom)
+	}
+	target, err := LargestGroup(dep)
+	if err != nil {
 		return nil, err
-	}
-	if dep.Sharded() {
-		return nil, fmt.Errorf("overload: requires a shared-domain deployment")
-	}
-	if eng == nil {
-		return nil, fmt.Errorf("overload: nil engine")
-	}
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = 2
-	}
-	if cfg.SLASlack <= 0 {
-		cfg.SLASlack = 2.5
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 10 * time.Minute
-	}
-	if cfg.DrainSlack <= 0 {
-		cfg.DrainSlack = 6 * time.Hour
-	}
-
-	// Target the largest group (first on ties — deterministic in plan
-	// order).
-	groups := dep.Groups()
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("overload: empty deployment")
-	}
-	target := groups[0]
-	for _, g := range groups[1:] {
-		if len(g.Members) > len(target.Members) {
-			target = g
-		}
 	}
 	if cfg.Aggressors > 0 && cfg.Aggressors >= len(target.Members) {
 		return nil, fmt.Errorf("overload: %d aggressors need a group larger than %d",
@@ -180,169 +101,117 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	for _, tl := range logs {
 		logByID[tl.Tenant.ID] = tl
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	perm := rng.Perm(len(target.Members))
-	hot := make(map[string]bool, cfg.Aggressors)
-	res := &OverloadResult{
-		Group:       target.Plan.ID,
-		AdmissionOn: target.Admission != nil,
-		MinRTTTP:    1,
-	}
+	s := &Storm{Group: target, cfg: cfg, hot: make(map[string]bool, cfg.Aggressors)}
+	perm := rand.New(rand.NewSource(cfg.Seed)).Perm(len(target.Members))
 	for _, i := range perm[:cfg.Aggressors] {
 		id := target.Members[i].ID
-		hot[id] = true
-		res.Aggressors = append(res.Aggressors, id)
-	}
-
-	// submit pushes one query through the group's admission controller
-	// (when armed) and router, tallying typed rejections. Runs inside an
-	// engine callback, so the domain is already held by the driver.
-	submit := func(tenantID string, class *queries.Class, sla sim.Time, storm bool) {
-		if ac := target.Admission; ac != nil {
-			if err := ac.Admit(tenantID, sla, false); err != nil {
-				var ce *admission.ContractExceededError
-				var se *admission.ShedError
-				switch {
-				case errors.As(err, &ce):
-					if storm {
-						res.StormThrottled++
-					} else {
-						res.NormalThrottled++
-					}
-				case errors.As(err, &se):
-					if storm {
-						res.StormShed++
-					} else {
-						res.NormalShed++
-					}
-				}
-				return
-			}
-		}
-		if _, err := target.Router.SubmitWithTarget(tenantID, class, sla); err != nil {
-			if storm {
-				res.StormErrors++
-			}
-			return
-		}
-		if storm {
-			res.StormAdmitted++
-		}
-	}
-
-	// Schedule the aggressors' storms: open-loop submissions of the
-	// heaviest query in each aggressor's own log, at Factor times the
-	// contract derived from that log — an open loop of long queries
-	// backlogs the aggressor's instance, so overflow traffic that lands
-	// there shares with the whole pile-up.
-	for _, id := range res.Aggressors {
 		tl := logByID[id]
 		if tl == nil {
 			return nil, fmt.Errorf("overload: aggressor %s has no log", id)
 		}
-		var class *queries.Class
-		var sla sim.Time
+		q := stormQuery{tenant: id, rate: admission.ContractFromLog(tl, cfg.Headroom).Rate}
 		for _, ref := range tl.Sessions {
 			for _, ev := range ref.Log.Events {
-				if ev.Duration > sla {
+				if ev.Duration > q.duration {
 					cl, ok := cat.ByID(ev.ClassID)
 					if !ok {
 						return nil, fmt.Errorf("overload: unknown class %s", ev.ClassID)
 					}
-					class, sla = cl, ev.Duration
+					q.class, q.duration = cl, ev.Duration
 				}
 			}
 		}
-		if class == nil {
+		if q.class == nil {
 			return nil, fmt.Errorf("overload: aggressor %s logged no queries", id)
 		}
-		sla = sim.Time(float64(sla) * cfg.SLASlack)
-		contract := admission.ContractFromLog(tl, cfg.Headroom)
-		interval := sim.Time(float64(sim.Second) / (cfg.Factor * contract.Rate))
+		s.hot[id] = true
+		s.Aggressors = append(s.Aggressors, id)
+		s.heavy = append(s.heavy, q)
+	}
+	return s, nil
+}
+
+// Aggressor reports whether the tenant runs hot in this storm.
+func (s *Storm) Aggressor(id string) bool { return s.hot[id] }
+
+// Logs returns the logged traffic the replay keeps: the target's compliant
+// members' logs, in member order.
+func (s *Storm) Logs(logs []*workload.TenantLog) []*workload.TenantLog {
+	var out []*workload.TenantLog
+	for _, tl := range MemberLogs(logs, s.Group) {
+		if !s.hot[tl.Tenant.ID] {
+			out = append(out, tl)
+		}
+	}
+	return out
+}
+
+// Inject schedules every aggressor's storm through the replay window, with
+// the heaviest query's logged latency scaled by opts.SLASlack as its SLO
+// target.
+func (s *Storm) Inject(eng *sim.Engine, _ *master.Deployment, opts replay.Options) error {
+	for _, q := range s.heavy {
+		q, sla := q, opts.SLATarget(q.duration)
+		interval := sim.Time(float64(sim.Second) / (s.cfg.Factor * q.rate))
 		if interval < 1 {
 			interval = 1
 		}
-		tenantID := id
-		for i := 0; i < cfg.MaxStorm; i++ {
-			at := cfg.From + sim.Time(i)*interval
-			if at >= cfg.To {
+		for i := 0; i < s.cfg.MaxStorm; i++ {
+			at := opts.From + sim.Time(i)*interval
+			if at >= opts.To {
 				break
 			}
-			res.StormSubmitted++
-			eng.Schedule(at, func(sim.Time) { submit(tenantID, class, sla, true) })
+			s.Submitted++
+			eng.Schedule(at, func(sim.Time) { s.submit(q.tenant, q.class, sla) })
 		}
 	}
+	return nil
+}
 
-	// Schedule the compliant members' logged traffic.
-	for _, tn := range target.Members {
-		if hot[tn.ID] {
-			continue // the storm replaces the aggressor's own traffic
-		}
-		tl := logByID[tn.ID]
-		if tl == nil {
-			continue
-		}
-		for _, ev := range tl.Materialize(cfg.From, cfg.To) {
-			ev := ev
-			class, ok := cat.ByID(ev.ClassID)
-			if !ok {
-				return nil, fmt.Errorf("overload: unknown class %s", ev.ClassID)
+// submit pushes one storm query through the group's admission controller
+// (when armed) and router. Runs inside an engine callback.
+func (s *Storm) submit(tenantID string, class *queries.Class, sla sim.Time) {
+	if ac := s.Group.Admission; ac != nil {
+		if err := ac.Admit(tenantID, sla, false); err != nil {
+			var ce *admission.ContractExceededError
+			if errors.As(err, &ce) {
+				s.Throttled++
+			} else {
+				s.Shed++
 			}
-			sla := sim.Time(float64(ev.SLATarget) * cfg.SLASlack)
-			res.NormalSubmitted++
-			eng.Schedule(ev.At, func(sim.Time) {
-				submit(ev.Tenant, class, sla, false)
-			})
+			return
 		}
 	}
+	if _, err := s.Group.Router.SubmitWithTarget(tenantID, class, sla); err != nil {
+		s.Errors++
+		return
+	}
+	s.Admitted++
+}
 
-	// Sample the target group's RT-TTP through the window.
-	var sample func(sim.Time)
-	sample = func(sim.Time) {
-		if rt := target.Monitor.RTTTP(); rt < res.MinRTTTP {
-			res.MinRTTTP = rt
-		}
-		if next := eng.Now().Add(cfg.SampleEvery); next < cfg.To {
-			eng.Schedule(next, sample)
+// Verify checks the storm was contained: every compliant member's SLA
+// attainment held p, and — with admission armed — the storm was actually
+// throttled or shed.
+func (s *Storm) Verify(out *replay.Outcome, p float64) error {
+	for _, tn := range s.Group.Members {
+		if a := out.TenantAttainment(tn.ID); !s.hot[tn.ID] && a < p {
+			return fmt.Errorf("overload: compliant tenant %s attainment %.6f < %.6f", tn.ID, a, p)
 		}
 	}
-	eng.Schedule(cfg.From, sample)
+	if s.Group.Admission != nil && s.Throttled+s.Shed == 0 {
+		return fmt.Errorf("overload: admission armed but the storm was never throttled or shed")
+	}
+	return nil
+}
 
-	eng.Run(cfg.To)
-	eng.Run(cfg.To.Add(cfg.DrainSlack))
-
-	// Condense per-tenant outcomes: completed-query SLA tallies from the
-	// hub, admission accounting from the controller.
-	slo := make(map[string]struct {
-		met, missed int64
-		attainment  float64
-	})
-	for _, tn := range dep.Telemetry().SLA.Report() {
-		slo[tn.Tenant] = struct {
-			met, missed int64
-			attainment  float64
-		}{tn.Met, tn.Missed, tn.Attainment}
-	}
-	adm := make(map[string]admission.TenantStat)
-	if target.Admission != nil {
-		for _, st := range target.Admission.TenantStats() {
-			adm[st.Tenant] = st
+// MinCompliant returns the worst SLA attainment among the target's
+// compliant members.
+func (s *Storm) MinCompliant(out *replay.Outcome) float64 {
+	worst := 1.0
+	for _, tn := range s.Group.Members {
+		if a := out.TenantAttainment(tn.ID); !s.hot[tn.ID] && a < worst {
+			worst = a
 		}
 	}
-	res.MinCompliantAttainment = 1
-	for _, tn := range target.Members {
-		o := TenantOutcome{Tenant: tn.ID, Aggressor: hot[tn.ID], Attainment: 1}
-		if s, ok := slo[tn.ID]; ok {
-			o.Met, o.Missed, o.Attainment = s.met, s.missed, s.attainment
-		}
-		if st, ok := adm[tn.ID]; ok {
-			o.Admitted, o.Throttled, o.Shed = st.Admitted, st.Throttled, st.Shed
-		}
-		if !o.Aggressor && o.Attainment < res.MinCompliantAttainment {
-			res.MinCompliantAttainment = o.Attainment
-		}
-		res.Outcomes = append(res.Outcomes, o)
-	}
-	return res, nil
+	return worst
 }

@@ -2,18 +2,15 @@ package chaos
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/queries"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -23,60 +20,43 @@ import (
 // reacts within the test's short horizon.
 func overloadWorld(t *testing.T, tenants, days int, admit bool) *world {
 	t.Helper()
-	cat := queries.Default()
-	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	pop, err := tenant.Population(rng, tenants, 0.8, []int{2}, tenant.ZoneOffsets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := workload.DefaultComposeConfig(3)
-	ccfg.Days = days
-	ccfg.Holidays = 0
-	logs, err := workload.Compose(lib, pop, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := advisor.DefaultConfig()
-	acfg.R = 2
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := adv.Plan(logs, ccfg.Horizon())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := master.Options{Immediate: true, MonitorWindow: time.Hour}
-	if admit {
-		cfg := admission.DefaultConfig()
-		cfg.Contracts = admission.ContractsFromLogs(logs, cfg.Headroom)
-		cfg.TickInterval = 5 * time.Second
-		opts.Admission = &cfg
-	}
-	eng := sim.NewEngine()
-	pool := cluster.NewPool(plan.NodesUsed())
-	m := master.New(eng, pool, opts)
-	byID := map[string]*tenant.Tenant{}
-	for _, tn := range pop {
-		byID[tn.ID] = tn
-	}
-	dep, err := m.Deploy(plan, byID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
+	return buildWorld(t, tenants, days, 2, 0, cluster.NewPool, func(logs []*workload.TenantLog) master.Options {
+		opts := master.Options{Immediate: true, MonitorWindow: time.Hour}
+		if admit {
+			cfg := admission.DefaultConfig()
+			cfg.Contracts = admission.ContractsFromLogs(logs, cfg.Headroom)
+			cfg.TickInterval = 5 * time.Second
+			opts.Admission = &cfg
+		}
+		return opts
+	})
 }
 
 func stormConfig() OverloadConfig {
 	cfg := DefaultOverloadConfig()
 	cfg.Seed = 11
-	cfg.From, cfg.To = 0, 12*sim.Hour
-	cfg.DrainSlack = 2 * time.Hour
 	return cfg
+}
+
+func stormWindow() replay.Options {
+	return replay.Options{To: 12 * sim.Hour, SLASlack: 2.5, DrainSlack: 2 * time.Hour}
+}
+
+// storm replays the target group's compliant members under the seeded
+// storm, through admission when the group has it armed.
+func (w *world) storm(t *testing.T, cfg OverloadConfig, opts replay.Options) (*Storm, *replay.Report, replay.Outcome) {
+	t.Helper()
+	s, err := NewStorm(w.dep, w.cat, w.logs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Injectors = []replay.Injector{s}
+	opts.Admit = s.Group.Admission != nil
+	rep, out, err := w.replay(s.Logs(w.logs), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, rep, out
 }
 
 // TestOverloadProtection is the acceptance run: the identical seeded storm
@@ -85,35 +65,26 @@ func stormConfig() OverloadConfig {
 // armed the aggressor is throttled with typed 429s and every compliant
 // member's attainment holds the guarantee.
 func TestOverloadProtection(t *testing.T) {
-	cfg := stormConfig()
-
 	base := overloadWorld(t, 12, 2, false)
-	baseRes, err := RunOverload(base.eng, base.dep, base.cat, base.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseStorm, _, baseOut := base.storm(t, stormConfig(), stormWindow())
 	p := base.plan.Config.P
-	if baseRes.AdmissionOn {
+	if baseStorm.Group.Admission != nil {
 		t.Fatal("baseline unexpectedly has admission armed")
 	}
-	if baseRes.MinCompliantAttainment >= p {
-		t.Fatalf("baseline storm did no damage: min compliant attainment %.6f >= %.6f",
-			baseRes.MinCompliantAttainment, p)
+	if m := baseStorm.MinCompliant(&baseOut); m >= p {
+		t.Fatalf("baseline storm did no damage: min compliant attainment %.6f >= %.6f", m, p)
 	}
 
 	prot := overloadWorld(t, 12, 2, true)
-	protRes, err := RunOverload(prot.eng, prot.dep, prot.cat, prot.logs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !protRes.AdmissionOn {
+	protStorm, _, protOut := prot.storm(t, stormConfig(), stormWindow())
+	if protStorm.Group.Admission == nil {
 		t.Fatal("protected run has no admission")
 	}
-	if err := protRes.Verify(p); err != nil {
-		t.Fatalf("protected run: %v (outcomes %+v)", err, protRes.Outcomes)
+	if err := protStorm.Verify(&protOut, p); err != nil {
+		t.Fatalf("protected run: %v (SLO %+v)", err, protOut.SLO)
 	}
-	if protRes.StormThrottled == 0 {
-		t.Fatalf("aggressor never saw a typed 429: %+v", protRes)
+	if protStorm.Throttled == 0 {
+		t.Fatalf("aggressor never saw a typed 429: %+v", protStorm)
 	}
 	hub := prot.dep.Telemetry()
 	if n := countEvents(hub, telemetry.EventContractExceeded); n == 0 {
@@ -128,84 +99,56 @@ func TestOverloadProtection(t *testing.T) {
 		t.Fatal("metrics lack thrifty_admission_throttled_total")
 	}
 	t.Logf("baseline min compliant attainment %.6f; protected %.6f, storm %d submitted / %d admitted / %d throttled / %d shed",
-		baseRes.MinCompliantAttainment, protRes.MinCompliantAttainment,
-		protRes.StormSubmitted, protRes.StormAdmitted, protRes.StormThrottled, protRes.StormShed)
+		baseStorm.MinCompliant(&baseOut), protStorm.MinCompliant(&protOut),
+		protStorm.Submitted, protStorm.Admitted, protStorm.Throttled, protStorm.Shed)
 }
 
-// TestOverloadTelemetryDeterminism: two fresh same-seed storm runs emit
-// byte-identical telemetry dumps — the admission layer preserves the
-// shared-domain determinism contract.
-func TestOverloadTelemetryDeterminism(t *testing.T) {
-	dump := func() (string, string) {
-		w := overloadWorld(t, 12, 2, true)
-		if _, err := RunOverload(w.eng, w.dep, w.cat, w.logs, stormConfig()); err != nil {
-			t.Fatal(err)
-		}
-		hub := w.dep.Telemetry()
-		var ev, tr bytes.Buffer
-		if err := hub.Events.Dump(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if err := hub.Tracer.Dump(&tr); err != nil {
-			t.Fatal(err)
-		}
-		return ev.String(), tr.String()
-	}
-	ev1, tr1 := dump()
-	ev2, tr2 := dump()
-	if ev1 != ev2 {
-		t.Fatal("same-seed overload runs emitted different event dumps")
-	}
-	if tr1 != tr2 {
-		t.Fatal("same-seed overload runs emitted different trace dumps")
-	}
-	if len(ev1) == 0 {
-		t.Fatal("overload run emitted no events")
-	}
-}
-
-// TestOverloadSmoke is the bounded CI gate (make overload-smoke): a short
+// TestOverloadSmoke is the bounded CI gate (make fault-smoke): a short
 // seeded storm against a protected deployment must be contained.
 func TestOverloadSmoke(t *testing.T) {
 	cfg := stormConfig()
-	cfg.To = 4 * sim.Hour
 	cfg.MaxStorm = 500
-	cfg.DrainSlack = time.Hour
 	w := overloadWorld(t, 8, 1, true)
-	res, err := RunOverload(w.eng, w.dep, w.cat, w.logs, cfg)
-	if err != nil {
+	s, _, out := w.storm(t, cfg, replay.Options{To: 4 * sim.Hour, SLASlack: 2.5, DrainSlack: time.Hour})
+	if err := s.Verify(&out, w.plan.Config.P); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(w.plan.Config.P); err != nil {
-		t.Fatal(err)
-	}
-	if res.StormThrottled == 0 {
-		t.Fatalf("smoke storm never throttled: %+v", res)
+	if s.Throttled == 0 {
+		t.Fatalf("smoke storm never throttled: %+v", s)
 	}
 }
 
-// TestOverloadValidation rejects malformed configs and sharded deployments.
+// TestOverloadValidation rejects malformed configs and sharded deployments
+// before any submission runs.
 func TestOverloadValidation(t *testing.T) {
-	w := newWorld(t, 6, 1, 2, true, 1) // sharded
-	cfg := DefaultOverloadConfig()
-	cfg.From, cfg.To = 0, sim.Hour
-	if _, err := RunOverload(nil, w.dep, w.cat, w.logs, cfg); err == nil {
-		t.Fatal("sharded deployment accepted")
+	sharded := newWorld(t, 6, 1, 2, true, 1)
+	shared := overloadWorld(t, 6, 1, false)
+	window := replay.Options{To: sim.Hour}
+	emptyWindow := replay.Options{}
+	factorOne := DefaultOverloadConfig()
+	factorOne.Factor = 1
+	tooMany := DefaultOverloadConfig()
+	tooMany.Aggressors = 100
+	cases := []struct {
+		name string
+		w    *world
+		cfg  OverloadConfig
+		opts replay.Options
+	}{
+		{"sharded deployment", sharded, DefaultOverloadConfig(), window},
+		{"empty window", shared, DefaultOverloadConfig(), emptyWindow},
+		{"Factor <= 1", shared, factorOne, window},
+		{"oversized aggressor count", shared, tooMany, window},
 	}
-	ws := overloadWorld(t, 6, 1, false)
-	bad := cfg
-	bad.To = 0
-	if _, err := RunOverload(ws.eng, ws.dep, ws.cat, ws.logs, bad); err == nil {
-		t.Fatal("empty window accepted")
-	}
-	bad = cfg
-	bad.Factor = 1
-	if _, err := RunOverload(ws.eng, ws.dep, ws.cat, ws.logs, bad); err == nil {
-		t.Fatal("Factor <= 1 accepted")
-	}
-	bad = cfg
-	bad.Aggressors = 100
-	if _, err := RunOverload(ws.eng, ws.dep, ws.cat, ws.logs, bad); err == nil {
-		t.Fatal("oversized aggressor count accepted")
+	for _, tc := range cases {
+		s, err := NewStorm(tc.w.dep, tc.w.cat, tc.w.logs, tc.cfg)
+		if err == nil {
+			opts := tc.opts
+			opts.Injectors = []replay.Injector{s}
+			_, _, err = tc.w.replay(s.Logs(tc.w.logs), opts)
+		}
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }

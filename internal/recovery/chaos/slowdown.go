@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/master"
+	"repro/internal/replay"
 	"repro/internal/sim"
 )
 
@@ -126,11 +127,19 @@ func ValidateSlowdowns(entries []Slowdown, from, to sim.Time) error {
 	return nil
 }
 
-// applySlowdowns schedules every episode's SetSlowdown steps on the engine.
-// The schedule must already be validated and resolvable against the
-// deployment. Every episode restores full speed at its end, so residual
-// slowdown at drain time means the run itself misbehaved.
-func applySlowdowns(eng *sim.Engine, dep *master.Deployment, entries []Slowdown) error {
+// Slowdowns is a fail-slow schedule; as a replay.Injector it validates the
+// schedule against the replay window and schedules every episode.
+type Slowdowns []Slowdown
+
+// Inject schedules every episode's SetSlowdown steps on the engine after
+// checking the schedule with ValidateSlowdowns; a target the deployment
+// cannot resolve is a "bad_target" *ScheduleError. Every episode restores
+// full speed at its end, so residual slowdown at drain time means the run
+// itself misbehaved.
+func (entries Slowdowns) Inject(eng *sim.Engine, dep *master.Deployment, opts replay.Options) error {
+	if err := ValidateSlowdowns(entries, opts.From, opts.To); err != nil {
+		return err
+	}
 	byID := make(map[string]*master.DeployedGroup)
 	for _, g := range dep.Groups() {
 		byID[g.Plan.ID] = g

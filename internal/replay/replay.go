@@ -2,16 +2,20 @@
 // materializes every query submission in a time window, routes each through
 // the deployment's per-group routers at its logged time (open loop), and
 // samples run-time statistics. This is the run-time half of the evaluation
-// testbed — the §7.5 elastic-scaling experiment and the SLA-attainment
-// validation both run on it.
+// testbed — the §7.5 elastic-scaling experiment, the SLA-attainment
+// validation and every fault scenario run on it. Faults enter as
+// Injectors (and the Failures crash schedule); Inspect condenses what a run
+// left behind for the scenarios' shared verifiers.
 package replay
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/master"
 	"repro/internal/monitor"
 	"repro/internal/queries"
@@ -75,6 +79,32 @@ type Options struct {
 	// and, with failures, recoveries and re-images — settle (default one
 	// day). Long reloads of data-heavy groups can need more.
 	DrainSlack time.Duration
+	// SLASlack, when positive, scales every logged query's SLO target (its
+	// zero-headroom pre-consolidation latency) by this factor.
+	SLASlack float64
+	// Injectors schedule faults and hostile load on the engine. Run calls
+	// them in order before it schedules any logged traffic, so an injection
+	// tied with a submission fires first. Shared engine (Run) only.
+	Injectors []Injector
+	// Admit sends logged submissions through their group's admission
+	// controller first, tallying rejections in Report.Throttled and
+	// Report.Shed. Shared engine (Run) only.
+	Admit bool
+}
+
+// Injector schedules one fault (or hostile load) against the deployment on
+// the replay's engine. opts is the run's configuration: the window an
+// injection must fit and the SLO slack of the traffic it competes with.
+type Injector interface {
+	Inject(eng *sim.Engine, dep *master.Deployment, opts Options) error
+}
+
+// SLATarget applies SLASlack to a logged SLO target.
+func (o *Options) SLATarget(logged sim.Time) sim.Time {
+	if o.SLASlack > 0 {
+		return sim.Time(float64(logged) * o.SLASlack)
+	}
+	return logged
 }
 
 // drainUntil returns the absolute end of the post-window drain.
@@ -124,6 +154,12 @@ type Report struct {
 	// Submitted and SubmitErrors count routing attempts and failures.
 	Submitted    int
 	SubmitErrors int
+	// Throttled and Shed count logged submissions admission rejected with
+	// a 429 or a 503 (zero unless Options.Admit).
+	Throttled, Shed int
+
+	// to is the window's end; samples at or after it belong to the drain.
+	to sim.Time
 }
 
 // SLAAttainment returns the fraction of completed queries that met their
@@ -139,6 +175,18 @@ func (r *Report) SLAAttainment() float64 {
 		}
 	}
 	return float64(met) / float64(len(r.Records))
+}
+
+// AppliedFailures counts the injected failures that took a node down (a
+// repeat crash is rejected while the instance sits at its minimum).
+func (r *Report) AppliedFailures() int {
+	n := 0
+	for _, fe := range r.FailureEvents {
+		if fe.Err == "" {
+			n++
+		}
+	}
+	return n
 }
 
 // MinRTTTP returns the lowest sampled RT-TTP of the group.
@@ -170,24 +218,28 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	if eng.Now() > opts.From {
 		return nil, fmt.Errorf("replay: engine already at %v, window starts %v", eng.Now(), opts.From)
 	}
-	rep := &Report{Samples: make(map[string][]Sample)}
+	rep := &Report{Samples: make(map[string][]Sample), to: opts.To}
+
+	for _, inj := range opts.Injectors {
+		if err := inj.Inject(eng, dep, opts); err != nil {
+			return nil, err
+		}
+	}
 
 	// Schedule query submissions.
+	admit := opts.Admit
 	for _, tl := range logs {
 		if _, ok := dep.GroupFor(tl.Tenant.ID); !ok {
 			continue
 		}
 		for _, ev := range tl.Materialize(opts.From, opts.To) {
-			ev := ev
 			class, ok := cat.ByID(ev.ClassID)
 			if !ok {
 				return nil, fmt.Errorf("replay: unknown query class %s", ev.ClassID)
 			}
+			tenantID, sla := ev.Tenant, opts.SLATarget(ev.SLATarget)
 			eng.Schedule(ev.At, func(sim.Time) {
-				rep.Submitted++
-				if _, err := dep.SubmitWithTarget(ev.Tenant, class, ev.SLATarget); err != nil {
-					rep.SubmitErrors++
-				}
+				rep.submit(dep, tenantID, class, sla, admit)
 			})
 		}
 	}
@@ -318,6 +370,28 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	return rep, nil
 }
 
+// submit routes one logged query. With admit set it must first pass the
+// group's admission controller; a rejection is tallied, never retried.
+func (r *Report) submit(dep *master.Deployment, tenantID string, class *queries.Class, sla sim.Time, admit bool) {
+	r.Submitted++
+	if admit {
+		if g, ok := dep.GroupFor(tenantID); ok && g.Admission != nil {
+			if err := g.Admission.Admit(tenantID, sla, false); err != nil {
+				var ce *admission.ContractExceededError
+				if errors.As(err, &ce) {
+					r.Throttled++
+				} else {
+					r.Shed++
+				}
+				return
+			}
+		}
+	}
+	if _, err := dep.SubmitWithTarget(tenantID, class, sla); err != nil {
+		r.SubmitErrors++
+	}
+}
+
 // recoveryConfig resolves the controllers' config for a run with failures.
 func recoveryConfig(opts Options) recovery.Config {
 	if opts.Recovery != nil {
@@ -431,6 +505,9 @@ func RunParallel(dep *master.Deployment, cat *queries.Catalog,
 	if !dep.Sharded() {
 		return nil, fmt.Errorf("replay: RunParallel needs a sharded deployment; use Run")
 	}
+	if len(opts.Injectors) > 0 || opts.Admit {
+		return nil, fmt.Errorf("replay: injectors and admission need a shared engine; use Run")
+	}
 	groups := dep.Groups()
 
 	// Partition the inputs by group up front, so each goroutine touches only
@@ -488,7 +565,7 @@ func RunParallel(dep *master.Deployment, cat *queries.Catalog,
 	}
 	wg.Wait()
 
-	rep := &Report{Samples: make(map[string][]Sample), FailureEvents: failEvents}
+	rep := &Report{Samples: make(map[string][]Sample), FailureEvents: failEvents, to: opts.To}
 	for i, g := range groups {
 		r := &reports[i]
 		if r.err != nil {
@@ -538,22 +615,22 @@ func replayGroup(dep *master.Deployment, g *master.DeployedGroup, cat *queries.C
 		for _, tl := range logs {
 			ref := g.Router.Ref(tl.Tenant.ID)
 			for _, ev := range tl.Materialize(opts.From, opts.To) {
-				ev := ev
 				class, ok := cat.ByID(ev.ClassID)
 				if !ok {
 					res.err = fmt.Errorf("replay: unknown query class %s", ev.ClassID)
 					return
 				}
+				tenantID, sla := ev.Tenant, opts.SLATarget(ev.SLATarget)
 				fn := func(sim.Time) {
 					res.submitted++
-					if _, err := g.Router.SubmitWithTarget(ev.Tenant, class, ev.SLATarget); err != nil {
+					if _, err := g.Router.SubmitWithTarget(tenantID, class, sla); err != nil {
 						res.submitErrors++
 					}
 				}
 				if ref != tenant.NoRef {
 					fn = func(sim.Time) {
 						res.submitted++
-						if _, err := g.Router.SubmitRef(ref, class, ev.SLATarget); err != nil {
+						if _, err := g.Router.SubmitRef(ref, class, sla); err != nil {
 							res.submitErrors++
 						}
 					}
