@@ -173,7 +173,7 @@ func main() {
 	// and event reads are never cut off mid-response.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv := &http.Server{Addr: *addr, Handler: h}
+	srv := &http.Server{Addr: *addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "thriftyd: serving MPPDBaaS on %s (time scale %g×, metrics %v, sharded %v, recovery %v, admission %v, gray %v, online %v, sharing %v)\n",
@@ -195,6 +195,10 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "thriftyd: bye")
 }
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow or stalled connection cannot pin a server goroutine.
+const readHeaderTimeout = 10 * time.Second
 
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "thriftyd: "+format+"\n", args...)

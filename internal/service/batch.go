@@ -7,7 +7,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -335,15 +334,18 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	qs := sc.req.Queries[:cap(sc.req.Queries)]
 	clear(qs)
 	sc.req.Queries = qs[:0]
-	if err := json.NewDecoder(r.Body).Decode(&sc.req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
-		return
-	}
-	if len(sc.req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty batch")
+	if !decodeBody(w, r, &sc.req) {
 		return
 	}
 	n := len(sc.req.Queries)
+	if n == 0 {
+		writeErr(w, http.StatusBadRequest, "empty batch")
+		return
+	}
+	if n > maxBatchItems {
+		writeTooLarge(w, maxBatchItems, "batch of %d queries exceeds %d", n, maxBatchItems)
+		return
+	}
 	if cap(sc.results) < n {
 		sc.results = make([]BatchResult, n)
 		sc.items = make([]runtime.BatchItem, n)

@@ -28,6 +28,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -269,6 +270,44 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// Request-size limits of the front door. A body over maxBodyBytes, or a
+// batch of more than maxBatchItems queries, is refused with a typed 413
+// before any of it is routed.
+const (
+	// maxBodyBytes caps a POST body: room for a full batch of raw-SQL
+	// submits.
+	maxBodyBytes = 4 << 20
+	// maxBatchItems caps the queries in one POST /v1/submit-batch.
+	maxBatchItems = 1024
+)
+
+// writeTooLarge writes the typed 413 body: kind "too_large" and the limit
+// that was exceeded.
+func writeTooLarge(w http.ResponseWriter, limit int64, format string, args ...any) {
+	writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+		"error": fmt.Sprintf(format, args...),
+		"kind":  "too_large",
+		"limit": limit,
+	})
+}
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it writes the response itself — a typed 413 for
+// an oversized body, a 400 for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeTooLarge(w, tooLarge.Limit, "request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	t := s.target()
 	s.topo.RLock()
@@ -434,8 +473,7 @@ type SubmitRequest struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	class, template, err := s.classFor(&req)
@@ -568,8 +606,7 @@ func sum(xs []int) int {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req PendingTenant
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.ID == "" || req.Nodes < 1 {
