@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke bench bench-grouping bench-online bench-service bench-shareddb
+.PHONY: check vet build test race fault-smoke grouping-smoke online-smoke service-smoke shared-smoke bench bench-grouping bench-online bench-service bench-shareddb
 
-# The full pre-commit gate: static checks, build, the bounded chaos,
-# overload, gray-failure, domain, grouping, online, service and shared-work
-# smokes, and the race-enabled suite.
-check: vet build chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke race
+# The full pre-commit gate: static checks, build, the bounded fault,
+# grouping, online, service and shared-work smokes, and the race-enabled
+# suite.
+check: vet build fault-smoke grouping-smoke online-smoke service-smoke shared-smoke race
 
 vet:
 	$(GO) vet ./...
@@ -19,31 +19,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Bounded failure-injection smoke: a small sharded deployment under the
-# chaos harness with the race detector on (~1 s), exercising parallel
-# injection, heartbeat detection, and autonomous recovery end to end.
-chaos-smoke:
-	$(GO) test -race -short -run TestChaosSmoke ./internal/recovery/chaos
-
-# Bounded noisy-tenant smoke with the race detector on: a seeded storm
-# against an admission-armed group, verifying the aggressor is throttled
-# and compliant tenants hold their guarantee.
-overload-smoke:
-	$(GO) test -race -short -run TestOverloadSmoke ./internal/recovery/chaos
-
-# Bounded fail-slow smoke with the race detector on: a seeded gray-failure
-# storm (stuck, gradual, flapping slowdowns) against a detector-armed group,
-# verifying the hedge → drain-and-replace ladder restores attainment and
-# leaves the pool leak-free.
-gray-smoke:
-	$(GO) test -race -short -run TestGraySmoke ./internal/recovery/chaos
-
-# Bounded correlated-failure smoke with the race detector on: a seeded
-# whole-domain outage against a spread-placed, triage-armed deployment,
-# verifying quarantine re-routing, the scarcity triage queue, and
-# restoration re-spread leave zero dropped queries and a leak-free pool.
-domain-smoke:
-	$(GO) test -race -short -run TestDomainSmoke ./internal/recovery/chaos
+# Bounded fault smokes with the race detector on, each a seeded scenario
+# driven through replay with its injector: node crashes on a small sharded
+# deployment (parallel injection, heartbeat detection, autonomous recovery);
+# a noisy-tenant storm against an admission-armed group (aggressor
+# throttled, compliant tenants hold their guarantee); a gray-failure storm
+# of stuck, gradual and flapping slowdowns (hedge → drain-and-replace
+# restores attainment); and a whole-domain outage against a spread-placed,
+# triage-armed deployment (quarantine re-routing, scarcity triage,
+# restoration re-spread). Every one must end with zero dropped queries and
+# a leak-free pool.
+fault-smoke:
+	$(GO) test -race -short -run 'TestChaosSmoke|TestOverloadSmoke|TestGraySmoke|TestDomainSmoke' -count=1 ./internal/recovery/chaos
 
 # Solver-equivalence property tests under the race detector plus a one-shot
 # pass over the solver-scale benchmarks, so a pruning bug or a benchmark

@@ -129,16 +129,13 @@ func DomainFail(env *Env) ([]*Table, error) {
 	return []*Table{schedule, outcome}, nil
 }
 
-// verifyOutages checks, arm by arm, that every outage landed and the
-// shared end-state bar holds.
+// verifyOutages checks that every arm's outages landed, then applies the
+// shared end-state bar.
 func verifyOutages(runs []*faultRun, outages []*chaos.Outages) error {
 	for i, r := range runs {
 		if len(outages[i].Errs) > 0 {
 			return fmt.Errorf("%s: injection errors: %v", r.name, outages[i].Errs)
 		}
-		if err := r.out.Verify(); err != nil {
-			return fmt.Errorf("%s: %w", r.name, err)
-		}
 	}
-	return nil
+	return verifyArms(runs)
 }
