@@ -5,6 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
+	"time"
+
+	"repro/internal/recovery/chaos"
+	"repro/internal/replay"
+	"repro/internal/sim"
 )
 
 // Golden SHA-256 hashes of the canonical shared-domain replay's telemetry
@@ -36,6 +41,67 @@ func goldenDump(t *testing.T) (traceSum, eventSum string) {
 	ts := sha256.Sum256(traces.Bytes())
 	es := sha256.Sum256(events.Bytes())
 	return hex.EncodeToString(ts[:]), hex.EncodeToString(es[:])
+}
+
+// overloadDump deploys the small workload with admission armed, drives the
+// seeded noisy-tenant storm against it through replay.Run, and hashes the
+// telemetry dumps. Identical inputs every call.
+func overloadDump(t *testing.T) (traceSum, eventSum string) {
+	t.Helper()
+	w := smallWorkload(t)
+	plan, err := PlanDeployment(w, DefaultPlanConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	acfg := DefaultAdmissionConfig()
+	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 64, Admission: &acfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaos.DefaultOverloadConfig()
+	cfg.Seed = 7
+	storm, err := chaos.NewStorm(sys.Deployment, w.Catalog, w.Logs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := replay.Options{
+		From: 0, To: sim.Day,
+		SLASlack:   2.5,
+		DrainSlack: 6 * time.Hour,
+		Injectors:  []replay.Injector{storm},
+		Admit:      storm.Group.Admission != nil,
+	}
+	if _, err := replay.Run(sys.Engine, sys.Deployment, w.Catalog, storm.Logs(w.Logs), opts); err != nil {
+		t.Fatal(err)
+	}
+	var traces, events bytes.Buffer
+	if err := sys.Telemetry().Tracer.Dump(&traces); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Telemetry().Events.Dump(&events); err != nil {
+		t.Fatal(err)
+	}
+	if traces.Len() == 0 || events.Len() == 0 {
+		t.Fatal("empty telemetry dump after overload run")
+	}
+	ts := sha256.Sum256(traces.Bytes())
+	es := sha256.Sum256(events.Bytes())
+	return hex.EncodeToString(ts[:]), hex.EncodeToString(es[:])
+}
+
+// TestOverloadReplayDeterminism runs the same seeded overload storm twice —
+// admission controller, brownout ticks, punitive policing and all — and
+// demands byte-identical telemetry. The storm path must be as replayable as
+// the plain replay path, or overload experiments stop being evidence.
+func TestOverloadReplayDeterminism(t *testing.T) {
+	t1, e1 := overloadDump(t)
+	t2, e2 := overloadDump(t)
+	if t1 != t2 {
+		t.Errorf("trace dumps differ between identical overload runs:\n run1 %s\n run2 %s", t1, t2)
+	}
+	if e1 != e2 {
+		t.Errorf("event dumps differ between identical overload runs:\n run1 %s\n run2 %s", e1, e2)
+	}
 }
 
 // TestSharedDomainReplayGolden pins the shared-domain replay to the

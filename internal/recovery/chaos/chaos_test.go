@@ -242,68 +242,75 @@ func TestChaosValidation(t *testing.T) {
 	}
 }
 
-// TestChaosTelemetryDeterminism is the determinism guard for every fault
-// scenario on a shared clock domain: the same seed against a freshly built
-// world must reproduce the telemetry event and trace streams byte for byte
-// — crash recovery, the admission layer under a storm, the whole gray
-// ladder (hedging, cancellation, drain, reload), and spread acquisition,
-// domain injection, triage polling, quarantine and re-spread.
+// requireTelemetryDeterminism is the determinism guard for a fault scenario
+// on a shared clock domain: run, against a freshly built world each call,
+// must reproduce the telemetry event and trace streams byte for byte.
+func requireTelemetryDeterminism(t *testing.T, run func(t *testing.T) *world) {
+	t.Helper()
+	dump := func() (events, traces []byte) {
+		hub := run(t).dep.Telemetry()
+		var ev, tr bytes.Buffer
+		if err := hub.Events.Dump(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := hub.Tracer.Dump(&tr); err != nil {
+			t.Fatal(err)
+		}
+		return ev.Bytes(), tr.Bytes()
+	}
+	ev1, tr1 := dump()
+	ev2, tr2 := dump()
+	if !bytes.Equal(ev1, ev2) {
+		t.Error("event dumps differ across identically seeded runs")
+	}
+	if !bytes.Equal(tr1, tr2) {
+		t.Error("trace dumps differ across identically seeded runs")
+	}
+	if len(ev1) == 0 || len(tr1) == 0 {
+		t.Error("empty telemetry dumps")
+	}
+}
+
+// TestChaosTelemetryDeterminism guards crash injection and recovery.
 func TestChaosTelemetryDeterminism(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(t *testing.T) *world
-	}{
-		{"crash", func(t *testing.T) *world {
-			w := newWorld(t, 4, 1, 2, false, 3)
-			cfg := DefaultConfig()
-			cfg.Seed = 99
-			cfg.MaxFailures = 4
-			w.crash(t, cfg, replay.Options{To: sim.Day})
-			return w
-		}},
-		{"overload", func(t *testing.T) *world {
-			w := overloadWorld(t, 12, 2, true)
-			w.storm(t, stormConfig(), stormWindow())
-			return w
-		}},
-		{"grayfail", func(t *testing.T) *world {
-			gcfg := testGrayConfig()
-			w := grayWorld(t, 12, 2, &gcfg)
-			w.gray(t, nil, grayStormConfig(), grayWindow())
-			return w
-		}},
-		{"domainfail", func(t *testing.T) *world {
-			w := domainWorld(t, 12, 1, 3, 3, true, true, 20)
-			w.outage(t, nil, domainStormConfig(), domainWindow())
-			return w
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dump := func() (events, traces []byte) {
-				hub := tc.run(t).dep.Telemetry()
-				var ev, tr bytes.Buffer
-				if err := hub.Events.Dump(&ev); err != nil {
-					t.Fatal(err)
-				}
-				if err := hub.Tracer.Dump(&tr); err != nil {
-					t.Fatal(err)
-				}
-				return ev.Bytes(), tr.Bytes()
-			}
-			ev1, tr1 := dump()
-			ev2, tr2 := dump()
-			if !bytes.Equal(ev1, ev2) {
-				t.Error("event dumps differ across identically seeded runs")
-			}
-			if !bytes.Equal(tr1, tr2) {
-				t.Error("trace dumps differ across identically seeded runs")
-			}
-			if len(ev1) == 0 || len(tr1) == 0 {
-				t.Error("empty telemetry dumps")
-			}
-		})
-	}
+	requireTelemetryDeterminism(t, func(t *testing.T) *world {
+		w := newWorld(t, 4, 1, 2, false, 3)
+		cfg := DefaultConfig()
+		cfg.Seed = 99
+		cfg.MaxFailures = 4
+		w.crash(t, cfg, replay.Options{To: sim.Day})
+		return w
+	})
+}
+
+// TestOverloadTelemetryDeterminism guards the admission layer under a storm.
+func TestOverloadTelemetryDeterminism(t *testing.T) {
+	requireTelemetryDeterminism(t, func(t *testing.T) *world {
+		w := overloadWorld(t, 12, 2, true)
+		w.storm(t, stormConfig(), stormWindow())
+		return w
+	})
+}
+
+// TestGrayFailTelemetryDeterminism guards the whole gray ladder: hedging,
+// cancellation, drain and reload.
+func TestGrayFailTelemetryDeterminism(t *testing.T) {
+	requireTelemetryDeterminism(t, func(t *testing.T) *world {
+		gcfg := testGrayConfig()
+		w := grayWorld(t, 12, 2, &gcfg)
+		w.gray(t, nil, grayStormConfig(), grayWindow())
+		return w
+	})
+}
+
+// TestDomainFailTelemetryDeterminism guards spread acquisition, domain
+// injection, triage polling, quarantine and re-spread.
+func TestDomainFailTelemetryDeterminism(t *testing.T) {
+	requireTelemetryDeterminism(t, func(t *testing.T) *world {
+		w := domainWorld(t, 12, 1, 3, 3, true, true, 20)
+		w.outage(t, nil, domainStormConfig(), domainWindow())
+		return w
+	})
 }
 
 // TestChaosSmoke is the bounded -race smoke target for make check: a small
