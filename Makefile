@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race fault-smoke grouping-smoke online-smoke service-smoke shared-smoke bench bench-grouping bench-online bench-service bench-shareddb
+.PHONY: check vet build test race size fault-smoke grouping-smoke online-smoke service-smoke shared-smoke bench bench-grouping bench-online bench-service bench-shareddb
 
 # The full pre-commit gate: static checks, build, the bounded fault,
 # grouping, online, service and shared-work smokes, and the race-enabled
@@ -19,9 +19,19 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The two design-size metrics the ROADMAP tracks: non-test Go lines outside
+# perfbench/, and the number of flags `thriftyd -h` lists. Informational;
+# not part of check.
+size:
+	@printf 'non-test Go lines outside perfbench/: '
+	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test.go$$' | xargs cat | wc -l
+	@printf 'thriftyd flags: '
+	@$(GO) run ./cmd/thriftyd -h 2>&1 | grep -c '^  -'
+
 # Bounded fault smokes with the race detector on, each a seeded scenario
-# driven through replay with its injector: node crashes on a small sharded
-# deployment (parallel injection, heartbeat detection, autonomous recovery);
+# driven through replay.Run: node crashes on a small sharded deployment of
+# two groups (two clock domains advancing concurrently under injection,
+# heartbeat detection, autonomous recovery);
 # a noisy-tenant storm against an admission-armed group (aggressor
 # throttled, compliant tenants hold their guarantee); a gray-failure storm
 # of stuck, gradual and flapping slowdowns (hedge → drain-and-replace

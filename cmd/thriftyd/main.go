@@ -75,8 +75,6 @@ func main() {
 		submitRetries = flag.Int("submit-retries", 3, "retries of a transiently failed submit before 504 (negative disables)")
 		submitBackoff = flag.Duration("submit-backoff", 30*time.Second, "virtual-time wait between submit attempts")
 		submitTimeout = flag.Duration("submit-timeout", 5*time.Minute, "virtual-time budget per submit before 504")
-		noCoalesce    = flag.Bool("no-coalesce", false, "disable server-side coalescing of concurrent submits into per-group batches")
-		maxBatch      = flag.Int("max-batch", 64, "max coalesced submits per batched routing call")
 	)
 	flag.Parse()
 
@@ -157,13 +155,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "thriftyd: online re-consolidation armed (control period %v)\n", *onlineInterval)
 	}
 	h, err := sys.Handler(thrifty.ServeOptions{
-		TimeScale:       *timeScale,
-		DisableMetrics:  !*metrics,
-		SubmitRetries:   *submitRetries,
-		SubmitBackoff:   *submitBackoff,
-		SubmitTimeout:   *submitTimeout,
-		DisableCoalesce: *noCoalesce,
-		MaxBatch:        *maxBatch,
+		TimeScale:      *timeScale,
+		DisableMetrics: !*metrics,
+		SubmitRetries:  *submitRetries,
+		SubmitBackoff:  *submitBackoff,
+		SubmitTimeout:  *submitTimeout,
 	})
 	if err != nil {
 		fatal("%v", err)

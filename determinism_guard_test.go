@@ -71,7 +71,7 @@ func overloadDump(t *testing.T) (traceSum, eventSum string) {
 		Injectors:  []replay.Injector{storm},
 		Admit:      storm.Group.Admission != nil,
 	}
-	if _, err := replay.Run(sys.Engine, sys.Deployment, w.Catalog, storm.Logs(w.Logs), opts); err != nil {
+	if _, err := replay.Run(sys.Deployment, w.Catalog, storm.Logs(w.Logs), opts); err != nil {
 		t.Fatal(err)
 	}
 	var traces, events bytes.Buffer

@@ -258,7 +258,7 @@ func runDriftOnline(env *Env, cfg DriftConfig, w *driftWorld) (*DriftResult, err
 			replayLogs = append(replayLogs, tl)
 		}
 	}
-	rep, err := replay.Run(eng, dep, env.Cat, replayLogs, replay.Options{
+	rep, err := replay.Run(dep, env.Cat, replayLogs, replay.Options{
 		From:        0,
 		To:          cfg.Window,
 		SampleEvery: time.Hour,
@@ -360,7 +360,7 @@ func runDriftOracle(env *Env, cfg DriftConfig, w *driftWorld) (float64, error) {
 		at := cfg.JoinStart + sim.Time(i)*2*sim.Hour
 		extra.schedule(eng, dep, env, jl, at, cfg.Window)
 	}
-	rep, err := replay.Run(eng, dep, env.Cat, replayLogs, replay.Options{
+	rep, err := replay.Run(dep, env.Cat, replayLogs, replay.Options{
 		From:        0,
 		To:          cfg.Window,
 		SampleEvery: time.Hour,

@@ -71,7 +71,7 @@ func (sc *faultScenario) runArms(cat *queries.Catalog, arms ...faultArm) ([]*fau
 		if err != nil {
 			return nil, err
 		}
-		rep, err := replay.Run(eng, dep, cat, logs, opts)
+		rep, err := replay.Run(dep, cat, logs, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -101,7 +101,7 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 			opts.EnableScaling = true
 			opts.ScalerConfig = scaling.DefaultConfig(DefaultP, DefaultR)
 		}
-		rep, err := replay.Run(eng, dep, env.Cat, subLogs, opts)
+		rep, err := replay.Run(dep, env.Cat, subLogs, opts)
 		if err != nil {
 			return nil, err
 		}

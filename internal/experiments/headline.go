@@ -64,7 +64,7 @@ func Headline(env *Env) (*HeadlineResult, error) {
 			return nil, err
 		}
 		// Replay the first two weekdays (day 0–2) of the logs.
-		rep, err := replay.Run(eng, dep, env.Cat, subLogs, replay.Options{
+		rep, err := replay.Run(dep, env.Cat, subLogs, replay.Options{
 			From:        0,
 			To:          2 * sim.Day,
 			SampleEvery: time.Hour,

@@ -100,7 +100,7 @@ func runSharingArm(env *Env, p *advisor.Plan, sharing bool) (*sharingArm, error)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := replay.Run(eng, dep, env.Cat, logs, replay.Options{
+	rep, err := replay.Run(dep, env.Cat, logs, replay.Options{
 		From:        0,
 		To:          sim.Day,
 		SampleEvery: time.Hour,

@@ -103,9 +103,6 @@ func TestDeployImmediate(t *testing.T) {
 	if _, ok := dep.GroupFor("Ta"); !ok {
 		t.Error("GroupFor failed")
 	}
-	if len(dep.ScalerTargets()) != len(dep.Groups()) {
-		t.Error("ScalerTargets wrong")
-	}
 }
 
 func TestDeployWithProvisioningDelay(t *testing.T) {

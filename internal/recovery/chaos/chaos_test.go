@@ -85,16 +85,21 @@ func newWorld(t *testing.T, tenants, days, r int, sharded bool, poolFactor int) 
 		func([]*workload.TenantLog) master.Options { return master.Options{Immediate: true, Sharded: sharded} })
 }
 
-// replay drives the world's deployment with logs under opts — on its one
-// engine, or group by group when sharded — and inspects the outcome.
-func (w *world) replay(logs []*workload.TenantLog, opts replay.Options) (*replay.Report, replay.Outcome, error) {
-	var rep *replay.Report
-	var err error
-	if w.dep.Sharded() {
-		rep, err = replay.RunParallel(w.dep, w.cat, logs, opts)
-	} else {
-		rep, err = replay.Run(w.eng, w.dep, w.cat, logs, opts)
+// shardedWorld is a sharded deployment of several tenant-groups, hence of
+// several clock domains, on which replay refuses injectors.
+func shardedWorld(t *testing.T) *world {
+	t.Helper()
+	w := newWorld(t, 10, 2, 3, true, 1)
+	if n := len(w.dep.Plane().Domains()); n < 2 {
+		t.Fatalf("sharded world has %d clock domains, want ≥2", n)
 	}
+	return w
+}
+
+// replay drives the world's deployment with logs under opts and inspects
+// the outcome.
+func (w *world) replay(logs []*workload.TenantLog, opts replay.Options) (*replay.Report, replay.Outcome, error) {
+	rep, err := replay.Run(w.dep, w.cat, logs, opts)
 	if err != nil {
 		return nil, replay.Outcome{}, err
 	}
@@ -314,9 +319,13 @@ func TestDomainFailTelemetryDeterminism(t *testing.T) {
 }
 
 // TestChaosSmoke is the bounded -race smoke target for make check: a small
-// sharded run that exercises the parallel injection + recovery path.
+// sharded run of two groups, so replay advances two clock domains at once
+// under injection and recovery.
 func TestChaosSmoke(t *testing.T) {
-	w := newWorld(t, 4, 1, 2, true, 3)
+	w := newWorld(t, 8, 1, 2, true, 3)
+	if n := len(w.dep.Plane().Domains()); n < 2 {
+		t.Fatalf("%d clock domains, want ≥2", n)
+	}
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 	cfg.MeanBetween = time.Hour

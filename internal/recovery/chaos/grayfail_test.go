@@ -312,7 +312,7 @@ func TestSlowdownScheduleValidation(t *testing.T) {
 // TestGrayFailValidation rejects malformed configs, bad targets, and sharded
 // deployments before any injection runs.
 func TestGrayFailValidation(t *testing.T) {
-	sharded := newWorld(t, 6, 1, 2, true, 1)
+	sharded := shardedWorld(t)
 	w := grayWorld(t, 6, 1, nil)
 	gid := w.dep.Groups()[0].Plan.ID
 	window := replay.Options{To: sim.Hour}

@@ -121,7 +121,7 @@ func TestOverloadSmoke(t *testing.T) {
 // TestOverloadValidation rejects malformed configs and sharded deployments
 // before any submission runs.
 func TestOverloadValidation(t *testing.T) {
-	sharded := newWorld(t, 6, 1, 2, true, 1)
+	sharded := shardedWorld(t)
 	shared := overloadWorld(t, 6, 1, false)
 	window := replay.Options{To: sim.Hour}
 	emptyWindow := replay.Options{}

@@ -23,7 +23,6 @@ import (
 	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -84,16 +83,17 @@ type Options struct {
 	SLASlack float64
 	// Injectors schedule faults and hostile load on the engine. Run calls
 	// them in order before it schedules any logged traffic, so an injection
-	// tied with a submission fires first. Shared engine (Run) only.
+	// tied with a submission fires first. They need a deployment with one
+	// clock domain.
 	Injectors []Injector
 	// Admit sends logged submissions through their group's admission
 	// controller first, tallying rejections in Report.Throttled and
-	// Report.Shed. Shared engine (Run) only.
+	// Report.Shed.
 	Admit bool
 }
 
 // Injector schedules one fault (or hostile load) against the deployment on
-// the replay's engine. opts is the run's configuration: the window an
+// the replay's engine (the deployment's only clock domain). opts is the run's configuration: the window an
 // injection must fit and the SLO slack of the traffic it competes with.
 type Injector interface {
 	Inject(eng *sim.Engine, dep *master.Deployment, opts Options) error
@@ -141,7 +141,8 @@ type Sample struct {
 type Report struct {
 	// Samples holds each group's timeline.
 	Samples map[string][]Sample
-	// Records are all completed queries.
+	// Records are all completed queries, in deployment group order (each
+	// group's in completion order).
 	Records []monitor.QueryRecord
 	// ScalingEvents are the elastic-scaling actions taken (empty when
 	// scaling is disabled).
@@ -202,9 +203,14 @@ func (r *Report) MinRTTTP(group string) float64 {
 
 // Run replays the logs' query events in [From, To) against the deployment.
 // Tenants in the logs that are not deployed (e.g. excluded ones) are
-// skipped. The engine is run to completion of the window plus any in-flight
-// queries.
-func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
+// skipped. One loop drives each of the deployment's clock domains: a shared
+// deployment has one, a sharded one has one per tenant-group. Tenant-groups
+// share nothing at query time (§3–§5), so the domains advance concurrently
+// and every domain's trajectory is the same as if it ran alone; the report
+// merges them in deployment group order. Each domain is run to the end of
+// the window plus a drain for in-flight queries. Injectors act on one
+// engine, so they are refused on a deployment with more than one domain.
+func Run(dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, opts Options) (*Report, error) {
 	if opts.To <= opts.From {
 		return nil, fmt.Errorf("replay: window [%v,%v)", opts.From, opts.To)
@@ -212,30 +218,140 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = 10 * time.Minute
 	}
-	if dep.Sharded() {
-		return nil, fmt.Errorf("replay: Run drives one shared engine; use RunParallel for a sharded deployment")
+	doms := dep.Plane().Domains()
+	if len(opts.Injectors) > 0 && len(doms) > 1 {
+		return nil, fmt.Errorf("replay: injectors need one clock domain, the deployment has %d", len(doms))
 	}
-	if eng.Now() > opts.From {
-		return nil, fmt.Errorf("replay: engine already at %v, window starts %v", eng.Now(), opts.From)
+	lanes := make([]*lane, len(doms))
+	byDom := make(map[*sim.Domain]*lane, len(doms))
+	for i, d := range doms {
+		lanes[i] = &lane{dom: d, rep: &Report{Samples: make(map[string][]Sample)}}
+		byDom[d] = lanes[i]
 	}
+	for _, g := range dep.Groups() {
+		l := byDom[g.Domain()]
+		l.groups = append(l.groups, g)
+	}
+	if to := opts.TakeOver; to != nil {
+		class, ok := cat.ByID(to.ClassID)
+		if !ok {
+			return nil, fmt.Errorf("replay: unknown take-over class %s", to.ClassID)
+		}
+		g, ok := dep.GroupFor(to.Tenant)
+		if !ok {
+			return nil, fmt.Errorf("replay: take-over tenant %s not deployed", to.Tenant)
+		}
+		byDom[g.Domain()].takeOver = class
+	}
+	for _, tl := range logs {
+		if g, ok := dep.GroupFor(tl.Tenant.ID); ok {
+			l := byDom[g.Domain()]
+			l.logs = append(l.logs, tl)
+		}
+	}
+	// A failure fires on its group's domain; one naming no group fires on
+	// the first, where it records its error.
 	rep := &Report{Samples: make(map[string][]Sample), to: opts.To}
+	for fi, f := range opts.Failures {
+		rep.FailureEvents = append(rep.FailureEvents, FailureEvent{Failure: f, Node: -1})
+		l := lanes[0]
+		if g, ok := dep.Plane().GroupByID(f.Group); ok {
+			l = byDom[g.Domain()]
+		}
+		l.failures = append(l.failures, fi)
+	}
 
+	errs := make([]error, len(lanes))
+	var wg sync.WaitGroup
+	for i, l := range lanes {
+		wg.Add(1)
+		go func(i int, l *lane) {
+			defer wg.Done()
+			errs[i] = l.run(dep, cat, rep.FailureEvents, opts)
+		}(i, l)
+	}
+	wg.Wait()
+	for i, l := range lanes {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		for id, s := range l.rep.Samples {
+			rep.Samples[id] = s
+		}
+		rep.ScalingEvents = append(rep.ScalingEvents, l.rep.ScalingEvents...)
+		rep.RecoveryEvents = append(rep.RecoveryEvents, l.rep.RecoveryEvents...)
+		rep.Submitted += l.rep.Submitted
+		rep.SubmitErrors += l.rep.SubmitErrors
+		rep.Throttled += l.rep.Throttled
+		rep.Shed += l.rep.Shed
+	}
+	rep.Records = dep.Records()
+	fillRepairs(rep.FailureEvents, rep.RecoveryEvents)
+	return rep, nil
+}
+
+// lane is one clock domain's share of a replay: the groups it drives, their
+// logs and scripted failures, and a partial report only its own goroutine
+// writes.
+type lane struct {
+	dom      *sim.Domain
+	groups   []*master.DeployedGroup
+	logs     []*workload.TenantLog
+	failures []int          // indices into the run's FailureEvents
+	takeOver *queries.Class // the take-over's class when its tenant is here
+	rep      *Report
+}
+
+// run schedules the lane's share of the replay on its domain, then advances
+// the domain through the window and the drain.
+func (l *lane) run(dep *master.Deployment, cat *queries.Catalog, fails []FailureEvent, opts Options) error {
+	var scaler *scaling.Scaler
+	var controllers []*recovery.Controller
+	var err error
+	l.dom.Do(func(eng *sim.Engine) {
+		scaler, controllers, err = l.schedule(eng, dep, cat, fails, opts)
+	})
+	if err != nil {
+		return err
+	}
+	l.dom.Advance(opts.To, nil)
+	// Let in-flight queries finish; the scaler's periodic tick (and the
+	// recovery heartbeat) would run forever, so bound the drain.
+	l.dom.Advance(opts.drainUntil(), nil)
+
+	if scaler != nil {
+		l.rep.ScalingEvents = scaler.Events()
+	}
+	for _, rc := range controllers {
+		l.rep.RecoveryEvents = append(l.rep.RecoveryEvents, rc.Events()...)
+	}
+	return nil
+}
+
+// schedule puts the lane's events on its engine: injectors, logged
+// submissions, the take-over, recovery arming and failures, sampling, and
+// the scaler. Events tied at one instant fire in that order, which the
+// experiments' golden hashes pin.
+func (l *lane) schedule(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
+	fails []FailureEvent, opts Options) (*scaling.Scaler, []*recovery.Controller, error) {
+	if eng.Now() > opts.From {
+		return nil, nil, fmt.Errorf("replay: engine already at %v, window starts %v", eng.Now(), opts.From)
+	}
 	for _, inj := range opts.Injectors {
 		if err := inj.Inject(eng, dep, opts); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
-	// Schedule query submissions.
-	admit := opts.Admit
-	for _, tl := range logs {
-		if _, ok := dep.GroupFor(tl.Tenant.ID); !ok {
-			continue
-		}
+	// Query submissions, one event each. The tenant's group and ref are
+	// resolved when the event fires, so a tenant migrated meanwhile by the
+	// online control loop routes to its new group.
+	rep, admit := l.rep, opts.Admit
+	for _, tl := range l.logs {
 		for _, ev := range tl.Materialize(opts.From, opts.To) {
 			class, ok := cat.ByID(ev.ClassID)
 			if !ok {
-				return nil, fmt.Errorf("replay: unknown query class %s", ev.ClassID)
+				return nil, nil, fmt.Errorf("replay: unknown query class %s", ev.ClassID)
 			}
 			tenantID, sla := ev.Tenant, opts.SLATarget(ev.SLATarget)
 			eng.Schedule(ev.At, func(sim.Time) {
@@ -250,15 +366,9 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	// (§7.5). An open loop with an interval under the query latency would
 	// grow an unbounded queue, which no real client does, and the victim's
 	// self-inflicted slowdown would drown the group's numbers.
-	if to := opts.TakeOver; to != nil {
-		class, ok := cat.ByID(to.ClassID)
-		if !ok {
-			return nil, fmt.Errorf("replay: unknown take-over class %s", to.ClassID)
-		}
-		group, ok := dep.GroupFor(to.Tenant)
-		if !ok {
-			return nil, fmt.Errorf("replay: take-over tenant %s not deployed", to.Tenant)
-		}
+	if class := l.takeOver; class != nil {
+		to := opts.TakeOver
+		group, _ := dep.GroupFor(to.Tenant)
 		eng.Schedule(to.Start, func(sim.Time) {
 			if h := dep.Telemetry(); h != nil {
 				h.Events.Publish(telemetry.Event{
@@ -297,11 +407,11 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	// bit-identically.
 	var controllers []*recovery.Controller
 	if len(opts.Failures) > 0 {
-		for _, g := range dep.Groups() {
+		for _, g := range l.groups {
 			if g.Recovery == nil {
 				rc, err := recovery.New(eng, dep.Pool(), g.Plan.ID, g.Instances, recoveryConfig(opts))
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				rc.SetTelemetry(dep.Telemetry())
 				rc.Start()
@@ -310,19 +420,21 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 			controllers = append(controllers, g.Recovery)
 		}
 	}
-	for fi, f := range opts.Failures {
-		fi, f := fi, f
-		rep.FailureEvents = append(rep.FailureEvents, FailureEvent{Failure: f, Node: -1})
-		eng.Schedule(f.At, func(sim.Time) {
-			injectFailure(dep, &rep.FailureEvents[fi])
-		})
+	for _, fi := range l.failures {
+		ev := &fails[fi]
+		eng.Schedule(ev.At, func(sim.Time) { injectFailure(dep, ev) })
 	}
 
-	// Statistics sampling. Each sample also lands on the telemetry RT-TTP
-	// gauge, so a /metrics scrape sees the timeline the report sees.
+	// Statistics sampling of the domain's groups, as of each sample (online
+	// migrations attach and release groups). Each sample also lands on the
+	// telemetry RT-TTP gauge, so a /metrics scrape sees the timeline the
+	// report sees.
 	var sample func(now sim.Time)
 	sample = func(now sim.Time) {
 		for _, g := range dep.Groups() {
+			if g.Domain() != l.dom {
+				continue
+			}
 			rt := g.Monitor.RTTTP()
 			rep.Samples[g.Plan.ID] = append(rep.Samples[g.Plan.ID], Sample{
 				At:     now,
@@ -339,55 +451,46 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	}
 	eng.Schedule(opts.From, sample)
 
-	// Elastic scaling.
-	var scaler *scaling.Scaler
-	if opts.EnableScaling {
-		var err error
-		scaler, err = scaling.New(eng, dep.Pool(), opts.ScalerConfig)
-		if err != nil {
-			return nil, err
-		}
-		scaler.SetTelemetry(dep.Telemetry())
-		for _, t := range dep.ScalerTargets() {
-			scaler.Watch(t)
-		}
-		scaler.Start()
+	// Elastic scaling: one scaler per domain, all drawing from the shared
+	// (mutex-protected) node pool. Each scaler numbers its own groups'
+	// scale-up instances, so their IDs stay deterministic.
+	if !opts.EnableScaling {
+		return nil, controllers, nil
 	}
-
-	eng.Run(opts.To)
-	// Let in-flight queries finish; the scaler's periodic tick (and the
-	// recovery heartbeat) would run forever, so bound the drain.
-	eng.Run(opts.drainUntil())
-
-	rep.Records = dep.Records()
-	if scaler != nil {
-		rep.ScalingEvents = scaler.Events()
+	scaler, err := scaling.New(eng, dep.Pool(), opts.ScalerConfig)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, rc := range controllers {
-		rep.RecoveryEvents = append(rep.RecoveryEvents, rc.Events()...)
+	scaler.SetTelemetry(dep.Telemetry())
+	for _, g := range l.groups {
+		scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
 	}
-	fillRepairs(rep.FailureEvents, rep.RecoveryEvents)
-	return rep, nil
+	scaler.Start()
+	return scaler, controllers, nil
 }
 
-// submit routes one logged query. With admit set it must first pass the
-// group's admission controller; a rejection is tallied, never retried.
+// submit routes one logged query through the router of the group the
+// tenant belongs to now. With admit set it must first pass the group's
+// admission controller; a rejection is tallied, never retried.
 func (r *Report) submit(dep *master.Deployment, tenantID string, class *queries.Class, sla sim.Time, admit bool) {
 	r.Submitted++
-	if admit {
-		if g, ok := dep.GroupFor(tenantID); ok && g.Admission != nil {
-			if err := g.Admission.Admit(tenantID, sla, false); err != nil {
-				var ce *admission.ContractExceededError
-				if errors.As(err, &ce) {
-					r.Throttled++
-				} else {
-					r.Shed++
-				}
-				return
+	g, ref, ok := dep.Plane().ForTenantRef(tenantID)
+	if !ok {
+		r.SubmitErrors++
+		return
+	}
+	if admit && g.Admission != nil {
+		if err := g.Admission.Admit(tenantID, sla, false); err != nil {
+			var ce *admission.ContractExceededError
+			if errors.As(err, &ce) {
+				r.Throttled++
+			} else {
+				r.Shed++
 			}
+			return
 		}
 	}
-	if _, err := dep.SubmitWithTarget(tenantID, class, sla); err != nil {
+	if _, err := g.Router.SubmitRef(ref, class, sla); err != nil {
 		r.SubmitErrors++
 	}
 }
@@ -403,24 +506,13 @@ func recoveryConfig(opts Options) recovery.Config {
 // injectFailure applies one scripted failure against the deployment: the
 // instance loses a node and the pool's backing node (if any is active for
 // that instance) is marked Failed, so the controller's swap has a node to
-// cart away. The caller must own the deployment's engine.
+// cart away. The caller must own the group's clock domain.
 func injectFailure(dep *master.Deployment, ev *FailureEvent) {
-	var g *master.DeployedGroup
-	for _, cand := range dep.Groups() {
-		if cand.Plan.ID == ev.Group {
-			g = cand
-		}
-	}
-	if g == nil {
+	g, ok := dep.Plane().GroupByID(ev.Group)
+	if !ok {
 		ev.Err = fmt.Sprintf("no group %q", ev.Group)
 		return
 	}
-	injectFailureOn(dep, g, ev)
-}
-
-// injectFailureOn is injectFailure with the group already resolved; the
-// parallel path calls it from the group's own clock domain.
-func injectFailureOn(dep *master.Deployment, g *master.DeployedGroup, ev *FailureEvent) {
 	if ev.Instance < 0 || ev.Instance >= len(g.Instances) {
 		ev.Err = fmt.Sprintf("group %s has no instance %d", ev.Group, ev.Instance)
 		return
@@ -471,275 +563,4 @@ func fillRepairs(fails []FailureEvent, recs []recovery.Event) {
 			fails[i].RepairedAt = byDB[db][k].Completed
 		}
 	}
-}
-
-// groupReport accumulates one group's share of a parallel replay. All fields
-// are written only by the goroutine driving that group's clock domain.
-type groupReport struct {
-	samples      []Sample
-	records      []monitor.QueryRecord
-	scaling      []scaling.Event
-	recovery     []recovery.Event
-	submitted    int
-	submitErrors int
-	err          error
-}
-
-// RunParallel replays the logs against a sharded deployment, driving every
-// tenant-group's clock domain in its own goroutine. Tenant-groups share
-// nothing at query time (§3–§5), so each group's replay is independently
-// deterministic: per-group record sequences, samples, and scaling events are
-// identical run to run (and, with scaling disabled, identical to a shared
-// domain Run of the same seed). The merged Records are deterministic too —
-// stable-sorted by submit time, with deployment group order breaking ties.
-// Only cross-group telemetry ordering (event sequence numbers, trace
-// timestamps from the max-clock) is best-effort under parallelism.
-func RunParallel(dep *master.Deployment, cat *queries.Catalog,
-	logs []*workload.TenantLog, opts Options) (*Report, error) {
-	if opts.To <= opts.From {
-		return nil, fmt.Errorf("replay: window [%v,%v)", opts.From, opts.To)
-	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 10 * time.Minute
-	}
-	if !dep.Sharded() {
-		return nil, fmt.Errorf("replay: RunParallel needs a sharded deployment; use Run")
-	}
-	if len(opts.Injectors) > 0 || opts.Admit {
-		return nil, fmt.Errorf("replay: injectors and admission need a shared engine; use Run")
-	}
-	groups := dep.Groups()
-
-	// Partition the inputs by group up front, so each goroutine touches only
-	// its own slice.
-	index := make(map[*master.DeployedGroup]int, len(groups))
-	for i, g := range groups {
-		index[g] = i
-	}
-	logsBy := make([][]*workload.TenantLog, len(groups))
-	for _, tl := range logs {
-		if g, ok := dep.GroupFor(tl.Tenant.ID); ok {
-			logsBy[index[g]] = append(logsBy[index[g]], tl)
-		}
-	}
-	takeOverBy := -1
-	var takeOverClass *queries.Class
-	if to := opts.TakeOver; to != nil {
-		cl, ok := cat.ByID(to.ClassID)
-		if !ok {
-			return nil, fmt.Errorf("replay: unknown take-over class %s", to.ClassID)
-		}
-		g, ok := dep.GroupFor(to.Tenant)
-		if !ok {
-			return nil, fmt.Errorf("replay: take-over tenant %s not deployed", to.Tenant)
-		}
-		takeOverBy = index[g]
-		takeOverClass = cl
-	}
-	failEvents := make([]FailureEvent, len(opts.Failures))
-	failuresBy := make([][]int, len(groups))
-	for fi, f := range opts.Failures {
-		failEvents[fi] = FailureEvent{Failure: f, Node: -1}
-		found := false
-		for i, g := range groups {
-			if g.Plan.ID == f.Group {
-				failuresBy[i] = append(failuresBy[i], fi)
-				found = true
-				break
-			}
-		}
-		if !found {
-			failEvents[fi].Err = fmt.Sprintf("no group %q", f.Group)
-		}
-	}
-
-	reports := make([]groupReport, len(groups))
-	var wg sync.WaitGroup
-	for i := range groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i] = replayGroup(dep, groups[i], cat, logsBy[i],
-				takeOverBy == i, takeOverClass, failuresBy[i], failEvents, opts)
-		}(i)
-	}
-	wg.Wait()
-
-	rep := &Report{Samples: make(map[string][]Sample), FailureEvents: failEvents, to: opts.To}
-	for i, g := range groups {
-		r := &reports[i]
-		if r.err != nil {
-			return nil, r.err
-		}
-		rep.Samples[g.Plan.ID] = r.samples
-		rep.Records = append(rep.Records, r.records...)
-		rep.ScalingEvents = append(rep.ScalingEvents, r.scaling...)
-		rep.RecoveryEvents = append(rep.RecoveryEvents, r.recovery...)
-		rep.Submitted += r.submitted
-		rep.SubmitErrors += r.submitErrors
-	}
-	fillRepairs(rep.FailureEvents, rep.RecoveryEvents)
-	// Deterministic merge: per-group sequences are already deterministic;
-	// a stable sort by submit time (concatenation group order breaking
-	// ties) yields one canonical global order.
-	sort.SliceStable(rep.Records, func(i, j int) bool {
-		return rep.Records[i].Submit < rep.Records[j].Submit
-	})
-	return rep, nil
-}
-
-// replayGroup runs one group's slice of the replay on its own clock domain.
-// Everything is scheduled first under the domain (Do), then the domain is
-// advanced through the window; callbacks run while the domain is held, so
-// they use the group's raw subsystems directly and never re-enter locked
-// GroupRuntime methods.
-func replayGroup(dep *master.Deployment, g *master.DeployedGroup, cat *queries.Catalog,
-	logs []*workload.TenantLog, takeOver bool, takeOverClass *queries.Class,
-	failures []int, failEvents []FailureEvent, opts Options) groupReport {
-	var res groupReport
-	dom := g.Domain()
-	var scaler *scaling.Scaler
-	dom.Do(func(eng *sim.Engine) {
-		if eng.Now() > opts.From {
-			res.err = fmt.Errorf("replay: group %s already at %v, window starts %v",
-				g.Plan.ID, eng.Now(), opts.From)
-			return
-		}
-		// All logged submissions go through one ScheduleBatch: the engine
-		// builds its heap once (heap.Init) instead of sifting per event, the
-		// tenant's interned ref resolves once per log instead of once per
-		// query, and submissions fire through the router's ref path. Batch
-		// order matches the old per-event Schedule order, so event sequence
-		// numbers — and therefore the replay — are unchanged.
-		var batch []sim.TimedFunc
-		for _, tl := range logs {
-			ref := g.Router.Ref(tl.Tenant.ID)
-			for _, ev := range tl.Materialize(opts.From, opts.To) {
-				class, ok := cat.ByID(ev.ClassID)
-				if !ok {
-					res.err = fmt.Errorf("replay: unknown query class %s", ev.ClassID)
-					return
-				}
-				tenantID, sla := ev.Tenant, opts.SLATarget(ev.SLATarget)
-				fn := func(sim.Time) {
-					res.submitted++
-					if _, err := g.Router.SubmitWithTarget(tenantID, class, sla); err != nil {
-						res.submitErrors++
-					}
-				}
-				if ref != tenant.NoRef {
-					fn = func(sim.Time) {
-						res.submitted++
-						if _, err := g.Router.SubmitRef(ref, class, sla); err != nil {
-							res.submitErrors++
-						}
-					}
-				}
-				batch = append(batch, sim.TimedFunc{At: ev.At, Fn: fn})
-			}
-		}
-		eng.ScheduleBatch(batch)
-
-		// Take-over injection (§7.5), closed loop as in Run.
-		if takeOver {
-			to := opts.TakeOver
-			eng.Schedule(to.Start, func(sim.Time) {
-				if h := dep.Telemetry(); h != nil {
-					h.Events.Publish(telemetry.Event{
-						Type:   telemetry.EventTakeOver,
-						Group:  g.Plan.ID,
-						Tenant: to.Tenant,
-						Detail: fmt.Sprintf("continuous %s every %v", to.ClassID, to.Interval),
-					})
-				}
-			})
-			var hammer func(now sim.Time)
-			hammer = func(now sim.Time) {
-				if now >= opts.To {
-					return
-				}
-				if g.Router.TenantInFlight(to.Tenant) == 0 {
-					res.submitted++
-					if _, err := g.Router.SubmitWithTarget(to.Tenant, takeOverClass, 0); err != nil {
-						res.submitErrors++
-					}
-				}
-				eng.After(to.Interval, hammer)
-			}
-			eng.Schedule(to.Start, hammer)
-		}
-
-		// Failure injection for this group's instances (§4.4): the injector
-		// breaks, the group's recovery controller detects and repairs. The
-		// controller is armed whenever the run injects failures anywhere —
-		// matching Run's shared-mode behaviour group for group.
-		if len(opts.Failures) > 0 && g.Recovery == nil {
-			rc, err := recovery.New(eng, dep.Pool(), g.Plan.ID, g.Instances, recoveryConfig(opts))
-			if err != nil {
-				res.err = err
-				return
-			}
-			rc.SetTelemetry(dep.Telemetry())
-			rc.Start()
-			g.Recovery = rc
-		}
-		for _, fi := range failures {
-			fi := fi
-			eng.Schedule(failEvents[fi].At, func(sim.Time) {
-				injectFailureOn(dep, g, &failEvents[fi])
-			})
-		}
-
-		// Statistics sampling for this group.
-		var sample func(now sim.Time)
-		sample = func(now sim.Time) {
-			rt := g.Monitor.RTTTP()
-			res.samples = append(res.samples, Sample{
-				At:     now,
-				RTTTP:  rt,
-				Active: g.Monitor.ActiveTenants(),
-			})
-			if h := dep.Telemetry(); h != nil {
-				h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID).Set(rt)
-			}
-			if now < opts.To {
-				eng.After(opts.SampleEvery, sample)
-			}
-		}
-		eng.Schedule(opts.From, sample)
-
-		// Elastic scaling: one scaler per group, all drawing from the shared
-		// (mutex-protected) node pool. Scale-up MPPDB IDs stay deterministic:
-		// each scaler numbers its own group's instances.
-		if opts.EnableScaling {
-			var err error
-			scaler, err = scaling.New(eng, dep.Pool(), opts.ScalerConfig)
-			if err != nil {
-				res.err = err
-				return
-			}
-			scaler.SetTelemetry(dep.Telemetry())
-			scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
-			scaler.Start()
-		}
-	})
-	if res.err != nil {
-		return res
-	}
-
-	dom.Advance(opts.To, nil)
-	// Let in-flight queries finish; the scaler's periodic tick (and the
-	// recovery heartbeat) would run forever, so bound the drain.
-	dom.Advance(opts.drainUntil(), nil)
-
-	dom.Do(func(*sim.Engine) {
-		res.records = append(res.records, g.Monitor.Records()...)
-		if scaler != nil {
-			res.scaling = scaler.Events()
-		}
-		if g.Recovery != nil {
-			res.recovery = g.Recovery.Events()
-		}
-	})
-	return res
 }

@@ -2,10 +2,11 @@ package replay
 
 import (
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
@@ -20,7 +21,6 @@ import (
 
 // world builds a small consolidated deployment plus its logs.
 type world struct {
-	eng  *sim.Engine
 	cat  *queries.Catalog
 	dep  *master.Deployment
 	logs []*workload.TenantLog
@@ -33,6 +33,11 @@ func newWorld(t *testing.T, tenants, days int, r int) *world {
 }
 
 func newWorldMode(t *testing.T, tenants, days int, r int, sharded bool) *world {
+	t.Helper()
+	return newWorldWith(t, tenants, days, r, master.Options{Immediate: true, Sharded: sharded})
+}
+
+func newWorldWith(t *testing.T, tenants, days int, r int, opts master.Options) *world {
 	t.Helper()
 	cat := queries.Default()
 	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
@@ -63,7 +68,7 @@ func newWorldMode(t *testing.T, tenants, days int, r int, sharded bool) *world {
 	}
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(10 * plan.NodesUsed())
-	m := master.New(eng, pool, master.Options{Immediate: true, Sharded: sharded})
+	m := master.New(eng, pool, opts)
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {
 		byID[tn.ID] = tn
@@ -72,12 +77,12 @@ func newWorldMode(t *testing.T, tenants, days int, r int, sharded bool) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
+	return &world{cat: cat, dep: dep, logs: logs, plan: plan}
 }
 
 func TestReplayBasics(t *testing.T) {
 	w := newWorld(t, 10, 2, 3)
-	rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
+	rep, err := Run(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +115,14 @@ func TestReplayBasics(t *testing.T) {
 
 func TestReplayValidation(t *testing.T) {
 	w := newWorld(t, 4, 1, 2)
-	if _, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: sim.Day, To: 0}); err == nil {
+	if _, err := Run(w.dep, w.cat, w.logs, Options{From: sim.Day, To: 0}); err == nil {
 		t.Error("inverted window accepted")
 	}
-	if _, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day,
+	if _, err := Run(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day,
 		TakeOver: &TakeOver{Tenant: "ghost", ClassID: "TPCH-Q1", Interval: time.Minute}}); err == nil {
 		t.Error("take-over of undeployed tenant accepted")
 	}
-	if _, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day,
+	if _, err := Run(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day,
 		TakeOver: &TakeOver{Tenant: w.logs[0].Tenant.ID, ClassID: "NOPE", Interval: time.Minute}}); err == nil {
 		t.Error("take-over with unknown class accepted")
 	}
@@ -152,7 +157,7 @@ func TestReplayTakeOverTriggersScaling(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no multi-member group in the plan")
 	}
-	rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{
+	rep, err := Run(w.dep, w.cat, w.logs, Options{
 		From:          0,
 		To:            2 * sim.Day,
 		EnableScaling: true,
@@ -199,7 +204,7 @@ func TestReplayFailureInjection(t *testing.T) {
 	w := newWorld(t, 6, 2, 2)
 	g := w.dep.Groups()[0]
 	activeBefore := w.dep.Pool().CountState(cluster.Active)
-	rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{
+	rep, err := Run(w.dep, w.cat, w.logs, Options{
 		From: 0,
 		To:   sim.Day,
 		Failures: []Failure{
@@ -261,41 +266,26 @@ func TestReplayFailureInjection(t *testing.T) {
 	}
 }
 
-// canonicalRecords sorts a copy of recs by a total order on the observable
-// fields, so record sets from differently ordered replays compare equal.
-func canonicalRecords(recs []monitor.QueryRecord) []monitor.QueryRecord {
-	out := append([]monitor.QueryRecord(nil), recs...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Submit != b.Submit {
-			return a.Submit < b.Submit
-		}
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		if a.Finish != b.Finish {
-			return a.Finish < b.Finish
-		}
-		if a.Class.ID != b.Class.ID {
-			return a.Class.ID < b.Class.ID
-		}
-		return a.MPPDB < b.MPPDB
-	})
-	return out
-}
-
 func recordsEqual(a, b monitor.QueryRecord) bool {
 	return a.Tenant == b.Tenant && a.Class.ID == b.Class.ID &&
 		a.Submit == b.Submit && a.Finish == b.Finish &&
 		a.SLATarget == b.SLATarget && a.MPPDB == b.MPPDB
 }
 
-func TestReplayParallelBasics(t *testing.T) {
-	w := newWorldMode(t, 10, 2, 3, true)
-	if !w.dep.Sharded() {
-		t.Fatal("deployment not sharded")
+// newShardedWorld is newWorldMode's sharded deployment, checked to span
+// more than one clock domain.
+func newShardedWorld(t *testing.T, tenants, days, r int) *world {
+	t.Helper()
+	w := newWorldMode(t, tenants, days, r, true)
+	if n := len(w.dep.Plane().Domains()); n < 2 {
+		t.Fatalf("sharded world has %d clock domains, want ≥2", n)
 	}
-	rep, err := RunParallel(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
+	return w
+}
+
+func TestReplayParallelBasics(t *testing.T) {
+	w := newShardedWorld(t, 10, 2, 3)
+	rep, err := Run(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,58 +306,70 @@ func TestReplayParallelBasics(t *testing.T) {
 			t.Errorf("no samples for group %s", g.Plan.ID)
 		}
 	}
-	// The merged record stream is globally ordered by submit time.
+	// Records come group by group, in deployment order, and each group's
+	// run in completion order.
+	pos := map[string]int{}
+	for i, g := range w.dep.Groups() {
+		for _, inst := range g.Instances {
+			pos[inst.ID()] = i
+		}
+	}
 	for i := 1; i < len(rep.Records); i++ {
-		if rep.Records[i].Submit < rep.Records[i-1].Submit {
-			t.Fatalf("records not merged by submit time at %d", i)
+		a, b := rep.Records[i-1], rep.Records[i]
+		if pos[b.MPPDB] < pos[a.MPPDB] || (pos[b.MPPDB] == pos[a.MPPDB] && b.Finish < a.Finish) {
+			t.Fatalf("record %d (%s at %v) out of group order after %s at %v",
+				i, b.MPPDB, b.Finish, a.MPPDB, a.Finish)
 		}
 	}
 }
 
 // TestReplayParallelMatchesShared: without scaling or failures every group's
 // trajectory is independent of the others, so the per-group clock domains
-// must produce exactly the records the single shared engine does.
+// must produce exactly the records, in the same order, and the samples the
+// single shared engine does.
 func TestReplayParallelMatchesShared(t *testing.T) {
 	shared := newWorldMode(t, 10, 2, 3, false)
-	sharded := newWorldMode(t, 10, 2, 3, true)
+	sharded := newShardedWorld(t, 10, 2, 3)
 	opts := Options{From: 0, To: sim.Day}
-	repShared, err := Run(shared.eng, shared.dep, shared.cat, shared.logs, opts)
+	repShared, err := Run(shared.dep, shared.cat, shared.logs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repPar, err := RunParallel(sharded.dep, sharded.cat, sharded.logs, opts)
+	repPar, err := Run(sharded.dep, sharded.cat, sharded.logs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repShared.Submitted != repPar.Submitted {
-		t.Fatalf("submitted: shared %d, parallel %d", repShared.Submitted, repPar.Submitted)
+	if repShared.Submitted != repPar.Submitted || repShared.SubmitErrors != repPar.SubmitErrors {
+		t.Fatalf("submitted/errors: shared %d/%d, sharded %d/%d", repShared.Submitted,
+			repShared.SubmitErrors, repPar.Submitted, repPar.SubmitErrors)
 	}
-	a := canonicalRecords(repShared.Records)
-	b := canonicalRecords(repPar.Records)
+	a, b := repShared.Records, repPar.Records
 	if len(a) != len(b) {
-		t.Fatalf("records: shared %d, parallel %d", len(a), len(b))
+		t.Fatalf("records: shared %d, sharded %d", len(a), len(b))
 	}
 	for i := range a {
 		if !recordsEqual(a[i], b[i]) {
-			t.Fatalf("record %d differs:\n shared   %+v\n parallel %+v", i, a[i], b[i])
+			t.Fatalf("record %d differs:\n shared  %+v\n sharded %+v", i, a[i], b[i])
 		}
+	}
+	if !reflect.DeepEqual(repShared.Samples, repPar.Samples) {
+		t.Error("samples differ between shared and sharded replays")
 	}
 }
 
 // TestReplayParallelDeterministic: two identical sharded worlds replayed
-// concurrently yield the same merged record sequence, submit counts and
-// samples — goroutine scheduling must not leak into results.
+// concurrently yield the same record sequence, submit counts and samples —
+// goroutine scheduling must not leak into results.
 func TestReplayParallelDeterministic(t *testing.T) {
-	run := func() (*Report, *master.Deployment) {
-		w := newWorldMode(t, 8, 2, 2, true)
-		rep, err := RunParallel(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
+	run := func() *Report {
+		w := newShardedWorld(t, 8, 2, 2)
+		rep, err := Run(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, w.dep
+		return rep
 	}
-	rep1, dep1 := run()
-	rep2, dep2 := run()
+	rep1, rep2 := run(), run()
 	if rep1.Submitted != rep2.Submitted || rep1.SubmitErrors != rep2.SubmitErrors {
 		t.Fatalf("counters differ: (%d,%d) vs (%d,%d)",
 			rep1.Submitted, rep1.SubmitErrors, rep2.Submitted, rep2.SubmitErrors)
@@ -375,49 +377,78 @@ func TestReplayParallelDeterministic(t *testing.T) {
 	if len(rep1.Records) != len(rep2.Records) {
 		t.Fatalf("records: %d vs %d", len(rep1.Records), len(rep2.Records))
 	}
-	// Merged order itself must be reproducible, not just the multiset.
+	// The order itself must be reproducible, not just the multiset.
 	for i := range rep1.Records {
 		if !recordsEqual(rep1.Records[i], rep2.Records[i]) {
 			t.Fatalf("record %d differs:\n run1 %+v\n run2 %+v", i, rep1.Records[i], rep2.Records[i])
 		}
 	}
-	for _, g := range dep1.Groups() {
-		if len(rep1.Samples[g.Plan.ID]) != len(rep2.Samples[g.Plan.ID]) {
-			t.Errorf("sample count differs for %s", g.Plan.ID)
-		}
+	if !reflect.DeepEqual(rep1.Samples, rep2.Samples) {
+		t.Error("samples differ between runs")
 	}
-	_ = dep2
 }
 
-// TestReplayModeValidation: each driver rejects the other's deployment mode.
+// nopInjector schedules nothing.
+type nopInjector struct{}
+
+func (nopInjector) Inject(*sim.Engine, *master.Deployment, Options) error { return nil }
+
+// TestReplayModeValidation: injectors act on one engine, so a deployment
+// with several clock domains refuses them; the window and take-over checks
+// hold on every layout.
 func TestReplayModeValidation(t *testing.T) {
-	sharded := newWorldMode(t, 4, 1, 2, true)
-	if _, err := Run(sharded.eng, sharded.dep, sharded.cat, sharded.logs,
-		Options{From: 0, To: sim.Day}); err == nil {
-		t.Error("Run accepted a sharded deployment")
+	sharded := newShardedWorld(t, 10, 2, 3)
+	if _, err := Run(sharded.dep, sharded.cat, sharded.logs, Options{From: 0, To: sim.Day,
+		Injectors: []Injector{nopInjector{}}}); err == nil {
+		t.Error("injectors accepted on a multi-domain deployment")
 	}
-	shared := newWorldMode(t, 4, 1, 2, false)
-	if _, err := RunParallel(shared.dep, shared.cat, shared.logs,
-		Options{From: 0, To: sim.Day}); err == nil {
-		t.Error("RunParallel accepted a shared deployment")
-	}
-	// Parallel pre-validation mirrors the shared driver's.
-	if _, err := RunParallel(sharded.dep, sharded.cat, sharded.logs, Options{From: sim.Day, To: 0}); err == nil {
+	if _, err := Run(sharded.dep, sharded.cat, sharded.logs, Options{From: sim.Day, To: 0}); err == nil {
 		t.Error("inverted window accepted")
 	}
-	if _, err := RunParallel(sharded.dep, sharded.cat, sharded.logs, Options{From: 0, To: sim.Day,
+	if _, err := Run(sharded.dep, sharded.cat, sharded.logs, Options{From: 0, To: sim.Day,
 		TakeOver: &TakeOver{Tenant: "ghost", ClassID: "TPCH-Q1", Interval: time.Minute}}); err == nil {
 		t.Error("take-over of undeployed tenant accepted")
 	}
+	// A single-group sharded deployment has one domain: injectors run.
+	single := newWorldMode(t, 4, 1, 2, true)
+	if n := len(single.dep.Plane().Domains()); n != 1 {
+		t.Fatalf("single-group world has %d domains", n)
+	}
+	if _, err := Run(single.dep, single.cat, single.logs, Options{From: 0, To: sim.Hour,
+		Injectors: []Injector{nopInjector{}}}); err != nil {
+		t.Errorf("injectors refused on a one-domain sharded deployment: %v", err)
+	}
 }
 
-// TestReplayParallelFailureInjection: failures are partitioned to their
-// group's domain; bad specs still surface as event errors in the merged
-// report.
+// TestReplayShardedAdmission: logged traffic passes admission on a sharded
+// deployment too. A contract far below the logged rate throttles, and every
+// submission is accounted for exactly once.
+func TestReplayShardedAdmission(t *testing.T) {
+	acfg := admission.DefaultConfig()
+	acfg.Default = admission.Contract{Rate: 1e-4, Burst: 2}
+	w := newWorldWith(t, 10, 2, 3, master.Options{Immediate: true, Sharded: true, Admission: &acfg})
+	if n := len(w.dep.Plane().Domains()); n < 2 {
+		t.Fatalf("sharded world has %d clock domains, want ≥2", n)
+	}
+	rep, err := Run(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day, Admit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Throttled == 0 {
+		t.Fatalf("no submission throttled: %+v", rep)
+	}
+	if got := len(rep.Records) + rep.SubmitErrors + rep.Throttled + rep.Shed; got != rep.Submitted {
+		t.Errorf("submitted %d != %d records + %d errors + %d throttled + %d shed",
+			rep.Submitted, len(rep.Records), rep.SubmitErrors, rep.Throttled, rep.Shed)
+	}
+}
+
+// TestReplayParallelFailureInjection: failures fire on their group's domain;
+// bad specs still surface as event errors in the merged report.
 func TestReplayParallelFailureInjection(t *testing.T) {
-	w := newWorldMode(t, 6, 2, 2, true)
+	w := newShardedWorld(t, 10, 2, 3)
 	g := w.dep.Groups()[0]
-	rep, err := RunParallel(w.dep, w.cat, w.logs, Options{
+	rep, err := Run(w.dep, w.cat, w.logs, Options{
 		From: 0,
 		To:   sim.Day,
 		Failures: []Failure{
@@ -431,17 +462,7 @@ func TestReplayParallelFailureInjection(t *testing.T) {
 	if len(rep.FailureEvents) != 2 {
 		t.Fatalf("%d failure events", len(rep.FailureEvents))
 	}
-	var okEv, badEv *FailureEvent
-	for i := range rep.FailureEvents {
-		if rep.FailureEvents[i].Group == g.Plan.ID {
-			okEv = &rep.FailureEvents[i]
-		} else {
-			badEv = &rep.FailureEvents[i]
-		}
-	}
-	if okEv == nil || badEv == nil {
-		t.Fatalf("events not partitioned: %+v", rep.FailureEvents)
-	}
+	okEv, badEv := rep.FailureEvents[0], rep.FailureEvents[1]
 	if okEv.Err != "" {
 		t.Fatalf("valid injection failed: %s", okEv.Err)
 	}

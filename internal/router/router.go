@@ -4,14 +4,11 @@
 // completions to the Tenant Activity Monitor, and supports re-pointing
 // over-active tenants to dedicated MPPDBs after elastic scaling.
 //
-// The router has two internally equivalent submit paths. When every group
-// MPPDB shares one tenant.Interner (how the Deployment Master wires groups),
-// the ref path runs: tenants are dense indices, routing state lives in flat
-// slices, completions report through one pooled tag table, and a steady-state
-// submit allocates nothing. When instances carry private interners (legacy
-// unit-test wiring), the router falls back to the original string-keyed path.
-// Both paths perform the identical operation sequence, so a same-seed run is
-// byte-identical either way.
+// Every group MPPDB shares one tenant.Interner (NewGroup refuses anything
+// else), so the router has one submit path, over refs: tenants are dense
+// indices, routing state lives in flat slices, completions report through
+// one pooled tag table, and a steady-state submit allocates nothing.
+// SubmitWithTarget resolves a tenant ID to its ref and takes the same path.
 package router
 
 import (
@@ -66,11 +63,10 @@ type GroupRouter struct {
 	// serves it exclusively.
 	overrides map[string]*mppdb.Instance
 
-	// Interned fast path (refMode): the group interner shared with every
-	// instance, members and overrides indexed by ref, the pooled completion
-	// table, and routing scratch space reused across submits.
+	// The group interner shared with every instance, members and overrides
+	// indexed by ref, the pooled completion table, and routing scratch
+	// space reused across submits.
 	in            *tenant.Interner
-	refMode       bool
 	byRef         []*tenant.Tenant
 	overByRef     []override
 	pending       []pending
@@ -82,11 +78,11 @@ type GroupRouter struct {
 	// onResult, when set, observes every completed query.
 	onResult func(monitor.QueryRecord)
 	// onCompletion, when set, observes every real completion with the serving
-	// instance — the gray detector's per-instance latency-profile feed (ref
-	// mode only; cancelled hedge losers never report).
+	// instance — the gray detector's per-instance latency-profile feed
+	// (cancelled hedge losers never report).
 	onCompletion func(dbID string, res mppdb.Result)
 
-	// Gray-failure response state, indexed parallel to dbs (ref mode only).
+	// Gray-failure response state, indexed parallel to dbs.
 	// A gray-flagged instance still receives its routed queries but each is
 	// hedged to a healthy peer; a quarantined instance is excluded from
 	// routing altogether unless it is the only ready one left.
@@ -112,8 +108,9 @@ type GroupRouter struct {
 }
 
 // NewGroup builds a router over the group's A MPPDB instances. dbs[0] is the
-// tuning MPPDB. Every member tenant must already be deployed on every
-// instance (the TDD tenant placement).
+// tuning MPPDB. The instances must share one tenant interner, and every
+// member tenant must already be deployed on every instance (the TDD tenant
+// placement).
 func NewGroup(eng *sim.Engine, group string, dbs []*mppdb.Instance,
 	members []*tenant.Tenant, mon *monitor.GroupMonitor) (*GroupRouter, error) {
 	if len(dbs) == 0 {
@@ -127,14 +124,11 @@ func NewGroup(eng *sim.Engine, group string, dbs []*mppdb.Instance,
 		tenants:   make(map[string]*tenant.Tenant, len(members)),
 		overrides: make(map[string]*mppdb.Instance),
 		in:        dbs[0].Interner(),
-		refMode:   true,
 	}
 	for _, db := range dbs {
 		if db.Interner() != r.in {
-			// Privately-interned instances: refs are not comparable across
-			// the group, so stay on the string path.
-			r.refMode = false
-			break
+			return nil, fmt.Errorf("router: group %s: %s does not share %s's tenant interner",
+				group, db.ID(), dbs[0].ID())
 		}
 	}
 	for _, m := range members {
@@ -144,14 +138,10 @@ func NewGroup(eng *sim.Engine, group string, dbs []*mppdb.Instance,
 				return nil, fmt.Errorf("router: tenant %s not deployed on %s", m.ID, db.ID())
 			}
 		}
-		if r.refMode {
-			r.indexMember(r.in.Intern(m.ID), m)
-		}
+		r.indexMember(r.in.Intern(m.ID), m)
 	}
-	if r.refMode {
-		for _, db := range dbs {
-			db.SetCompletionHandler(r.completed)
-		}
+	for _, db := range dbs {
+		db.SetCompletionHandler(r.completed)
 	}
 	return r, nil
 }
@@ -174,26 +164,15 @@ func (r *GroupRouter) Instances() []*mppdb.Instance { return r.dbs }
 // Members returns the number of member tenants.
 func (r *GroupRouter) Members() int { return len(r.tenants) }
 
-// Interner returns the group interner in ref mode, nil otherwise.
-func (r *GroupRouter) Interner() *tenant.Interner {
-	if !r.refMode {
-		return nil
-	}
-	return r.in
-}
-
 // HasTenant reports whether the tenant belongs to this group.
 func (r *GroupRouter) HasTenant(id string) bool {
 	_, ok := r.tenants[id]
 	return ok
 }
 
-// Ref resolves a member tenant to its group ref (NoRef when the router is
-// not in ref mode or the tenant is not a member).
+// Ref resolves a member tenant to its group ref (NoRef when the tenant is
+// not a member).
 func (r *GroupRouter) Ref(id string) tenant.Ref {
-	if !r.refMode {
-		return tenant.NoRef
-	}
 	ref, ok := r.in.Lookup(id)
 	if !ok || int(ref) >= len(r.byRef) || r.byRef[ref] == nil {
 		return tenant.NoRef
@@ -219,9 +198,7 @@ func (r *GroupRouter) AddTenant(tn *tenant.Tenant) error {
 		}
 	}
 	r.tenants[tn.ID] = tn
-	if r.refMode {
-		r.indexMember(r.in.Intern(tn.ID), tn)
-	}
+	r.indexMember(r.in.Intern(tn.ID), tn)
 	return nil
 }
 
@@ -233,11 +210,9 @@ func (r *GroupRouter) AddTenant(tn *tenant.Tenant) error {
 func (r *GroupRouter) RemoveTenant(id string) {
 	delete(r.tenants, id)
 	delete(r.overrides, id)
-	if r.refMode {
-		if ref, ok := r.in.Lookup(id); ok && int(ref) < len(r.byRef) {
-			r.byRef[ref] = nil
-			r.overByRef[ref] = override{}
-		}
+	if ref, ok := r.in.Lookup(id); ok && int(ref) < len(r.byRef) {
+		r.byRef[ref] = nil
+		r.overByRef[ref] = override{}
 	}
 }
 
@@ -256,7 +231,6 @@ func (r *GroupRouter) SetTelemetry(h *telemetry.Hub) {
 
 // SetCompletionObserver registers a per-completion observer receiving the
 // serving instance's ID and the raw result — the gray detector's feed.
-// Effective in ref mode only.
 func (r *GroupRouter) SetCompletionObserver(fn func(dbID string, res mppdb.Result)) {
 	r.onCompletion = fn
 }
@@ -280,12 +254,8 @@ func (r *GroupRouter) dbIndex(dbID string) int {
 }
 
 // SetGrayFlag marks (or clears) an instance as confirmed-gray: every query
-// subsequently routed to it is hedged to a healthy peer. Ref mode only (the
-// hedge pairing rides the pooled tag table); no-op otherwise.
+// subsequently routed to it is hedged to a healthy peer.
 func (r *GroupRouter) SetGrayFlag(dbID string, on bool) {
-	if !r.refMode {
-		return
-	}
 	i := r.dbIndex(dbID)
 	if i < 0 {
 		return
@@ -305,11 +275,8 @@ func (r *GroupRouter) SetGrayFlag(dbID string, on bool) {
 // SetQuarantine excludes (or re-admits) an instance from routing — the drain
 // stage of the gray-response ladder. A quarantined instance still finishes
 // its in-flight queries, and it is re-admitted implicitly if it is the only
-// ready instance left, so queries are never dropped. Ref mode only.
+// ready instance left, so queries are never dropped.
 func (r *GroupRouter) SetQuarantine(dbID string, on bool) {
-	if !r.refMode {
-		return
-	}
 	i := r.dbIndex(dbID)
 	if i < 0 {
 		return
@@ -349,14 +316,12 @@ func (r *GroupRouter) SetOverride(tenantID string, db *mppdb.Instance) error {
 		return fmt.Errorf("router: override MPPDB %s lacks tenant %s", db.ID(), tenantID)
 	}
 	r.overrides[tenantID] = db
-	if r.refMode {
-		if ref, ok := r.in.Lookup(tenantID); ok && int(ref) < len(r.overByRef) {
-			// The override's interner may be private to that instance;
-			// record the tenant's ref in *its* namespace.
-			dbRef, _ := db.Interner().Lookup(tenantID)
-			r.overByRef[ref] = override{db: db, ref: dbRef}
-			db.SetCompletionHandler(r.completed)
-		}
+	if ref, ok := r.in.Lookup(tenantID); ok && int(ref) < len(r.overByRef) {
+		// The override's interner may be private to that instance; record
+		// the tenant's ref in *its* namespace.
+		dbRef, _ := db.Interner().Lookup(tenantID)
+		r.overByRef[ref] = override{db: db, ref: dbRef}
+		db.SetCompletionHandler(r.completed)
 	}
 	if r.mon != nil {
 		r.mon.Exclude(tenantID)
@@ -404,14 +369,11 @@ func (r *GroupRouter) Submit(tenantID string, class *queries.Class) (string, err
 // the tenant's self-contention; that slack is the tenant's own business,
 // §4.4). A non-positive target falls back to the isolated latency.
 func (r *GroupRouter) SubmitWithTarget(tenantID string, class *queries.Class, slaTarget sim.Time) (string, error) {
-	if r.refMode {
-		ref, ok := r.in.Lookup(tenantID)
-		if !ok || int(ref) >= len(r.byRef) || r.byRef[ref] == nil {
-			return "", fmt.Errorf("router: unknown tenant %s in group %s", tenantID, r.group)
-		}
-		return r.SubmitRef(ref, class, slaTarget)
+	ref, ok := r.in.Lookup(tenantID)
+	if !ok || int(ref) >= len(r.byRef) || r.byRef[ref] == nil {
+		return "", fmt.Errorf("router: unknown tenant %s in group %s", tenantID, r.group)
 	}
-	return r.submitString(tenantID, class, slaTarget)
+	return r.SubmitRef(ref, class, slaTarget)
 }
 
 // acquireTag hands out a pooled completion slot.
@@ -426,8 +388,8 @@ func (r *GroupRouter) acquireTag() uint64 {
 }
 
 // completed is the pooled completion handler shared by every group instance:
-// it rebuilds the query record from the tag's pending slot and performs the
-// exact observer sequence of the closure path. For a hedged query, whichever
+// it rebuilds the query record from the tag's pending slot and reports it to
+// the monitor and the observers. For a hedged query, whichever
 // copy completes first lands here and withdraws its partner before it can
 // report — exactly one QueryFinished per logical query, attributed to the
 // instance that actually won.
@@ -489,11 +451,10 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 	}
 }
 
-// SubmitRef is the interned hot path: one slice index resolves the tenant,
+// SubmitRef is the submit path: one slice index resolves the tenant,
 // Algorithm 1 runs over ref-indexed instance state, and the completion
 // context goes into the pooled tag table — no allocation on the steady
-// state. Only valid in ref mode (callers obtain refs via Ref or the group
-// interner).
+// state. Callers obtain refs via Ref.
 func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget sim.Time) (string, error) {
 	var tn *tenant.Tenant
 	if ref >= 0 && int(ref) < len(r.byRef) {
@@ -629,11 +590,7 @@ func (r *GroupRouter) hedgeTo(tag uint64, ref tenant.Ref, grayIdx int) {
 // on the given instance onto healthy peers — invoked by the gray detector at
 // the moment a suspicion is confirmed, so queries already stuck on the slow
 // instance get a second chance too. Returns how many hedges were placed.
-// Ref mode only.
 func (r *GroupRouter) HedgeInFlight(dbID string) int {
-	if !r.refMode {
-		return 0
-	}
 	idx := r.dbIndex(dbID)
 	if idx < 0 {
 		return 0
@@ -663,84 +620,8 @@ func (r *GroupRouter) HedgeInFlight(dbID string) int {
 	return n
 }
 
-// submitString is the original string-keyed submit, kept for routers whose
-// instances do not share an interner.
-func (r *GroupRouter) submitString(tenantID string, class *queries.Class, slaTarget sim.Time) (string, error) {
-	tn, ok := r.tenants[tenantID]
-	if !ok {
-		return "", fmt.Errorf("router: unknown tenant %s in group %s", tenantID, r.group)
-	}
-	var root, route, exec *telemetry.Span
-	if r.tel != nil {
-		root = r.tel.Tracer.StartSpan("query",
-			"group", r.group, "tenant", tenantID, "class", class.ID)
-		route = r.tel.Tracer.StartChild(root.Context(), "route")
-	}
-	fail := func(err error) (string, error) {
-		if root != nil {
-			route.Annotate("error", err.Error())
-			route.End()
-			root.End()
-		}
-		return "", err
-	}
-	target, err := r.pick(tenantID)
-	if err != nil {
-		return fail(err)
-	}
-	if slaTarget <= 0 {
-		slaTarget = sim.Duration(class.Latency(tn.DataGB, tn.Nodes))
-	}
-	submit := r.eng.Now()
-	dbID := target.ID()
-	if root != nil {
-		route.Annotate("mppdb", dbID)
-		route.End()
-		exec = r.tel.Tracer.StartChild(root.Context(), "execute", "mppdb", dbID)
-	}
-	_, err = target.Submit(tenantID, class, func(res mppdb.Result) {
-		rec := monitor.QueryRecord{
-			Tenant:    tenantID,
-			Class:     class,
-			Submit:    submit,
-			Finish:    res.Finish,
-			SLATarget: slaTarget,
-			MPPDB:     dbID,
-		}
-		if r.tel != nil {
-			exec.End()
-			root.End()
-			r.mInflight.Add(-1)
-		}
-		if r.mon != nil {
-			r.mon.QueryFinished(rec)
-		}
-		if r.onResult != nil {
-			r.onResult(rec)
-		}
-	})
-	if err != nil {
-		if exec != nil {
-			exec.Annotate("error", err.Error())
-			exec.End()
-			root.End()
-		}
-		return "", err
-	}
-	if r.mon != nil {
-		r.mon.QueryStarted(tenantID)
-	}
-	r.routed++
-	if r.tel != nil {
-		r.mRouted.Inc()
-		r.mInflight.Add(1)
-	}
-	return dbID, nil
-}
-
-// pickRef chooses the target instance on the ref path: a dedicated override
-// if present, otherwise Algorithm 1 over the group's ready MPPDBs. It also
-// returns the tenant's ref in the *target's* interner namespace and the
+// pickRef chooses the target instance: a dedicated override if present,
+// otherwise Algorithm 1 over the group's ready MPPDBs. It also returns the tenant's ref in the *target's* interner namespace and the
 // target's position in dbs (-1 for an override instance).
 func (r *GroupRouter) pickRef(ref tenant.Ref) (*mppdb.Instance, tenant.Ref, int, error) {
 	if int(ref) < len(r.overByRef) {
@@ -796,37 +677,4 @@ func (r *GroupRouter) pickRef(ref tenant.Ref) (*mppdb.Instance, tenant.Ref, int,
 		}
 	}
 	return chosen, ref, readyIdx[idx], nil
-}
-
-// pick chooses the target instance: a dedicated override if present,
-// otherwise Algorithm 1 over the group's ready MPPDBs.
-func (r *GroupRouter) pick(tenantID string) (*mppdb.Instance, error) {
-	if db, ok := r.overrides[tenantID]; ok {
-		return db, nil
-	}
-	// Only Ready instances participate; a replacement MPPDB still loading
-	// must not receive queries.
-	states := make([]tdd.MPPDBState, 0, len(r.dbs))
-	ready := make([]*mppdb.Instance, 0, len(r.dbs))
-	for _, db := range r.dbs {
-		if db.State() == mppdb.Ready {
-			states = append(states, db)
-			ready = append(ready, db)
-		}
-	}
-	if len(ready) == 0 {
-		return nil, fmt.Errorf("router: group %s has no ready MPPDB", r.group)
-	}
-	idx, err := tdd.Route(tenantID, states)
-	if err != nil {
-		return nil, err
-	}
-	chosen := ready[idx]
-	if chosen.Busy() && chosen.TenantRunning(tenantID) == 0 {
-		r.overflow++
-		if r.tel != nil {
-			r.mOverflow.Inc()
-		}
-	}
-	return chosen, nil
 }

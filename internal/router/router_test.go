@@ -11,7 +11,8 @@ import (
 	"repro/internal/tenant"
 )
 
-// rig builds a group of A MPPDBs with the given tenants deployed everywhere.
+// rig builds a group of A MPPDBs sharing one tenant interner, as the
+// Deployment Master wires them, with the given tenants deployed everywhere.
 type rig struct {
 	eng *sim.Engine
 	dbs []*mppdb.Instance
@@ -23,9 +24,10 @@ type rig struct {
 func newRig(t *testing.T, a, nodes int, members ...*tenant.Tenant) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
+	in := tenant.NewInterner()
 	var dbs []*mppdb.Instance
 	for i := 0; i < a; i++ {
-		db := mppdb.New(eng, "db"+string(rune('0'+i)), nodes)
+		db := mppdb.NewInterned(eng, "db"+string(rune('0'+i)), nodes, in)
 		for _, m := range members {
 			db.DeployTenant(m.ID, m.DataGB)
 		}
@@ -127,6 +129,10 @@ func TestNewGroupValidatesDeployment(t *testing.T) {
 	}
 	if _, err := NewGroup(eng, "g", nil, nil, nil); err == nil {
 		t.Error("no MPPDBs accepted")
+	}
+	// Instances with private interners: refs would not agree across them.
+	if _, err := NewGroup(eng, "g", []*mppdb.Instance{db, mppdb.New(eng, "db1", 2)}, nil, nil); err == nil {
+		t.Error("instances without a shared interner accepted")
 	}
 }
 

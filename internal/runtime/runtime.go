@@ -739,7 +739,8 @@ func (p *Plane) ForTenant(id string) (*GroupRuntime, bool) {
 
 // ForTenantRef returns the group hosting the tenant together with the
 // tenant's interned ref in that group, resolved once at deploy or cutover.
-// The ref is NoRef when the group's router runs in string mode.
+// The ref is NoRef when the tenant was not a member of the group's router
+// when the index entry was made.
 func (p *Plane) ForTenantRef(id string) (*GroupRuntime, tenant.Ref, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

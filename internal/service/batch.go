@@ -162,10 +162,7 @@ func (s *Server) submitCoalesced(g *runtime.GroupRuntime, item runtime.BatchItem
 			c.mu.Unlock()
 			return myOut
 		}
-		take := len(c.queue)
-		if s.maxBatch > 0 && take > s.maxBatch {
-			take = s.maxBatch
-		}
+		take := min(len(c.queue), maxCoalesced)
 		c.batch = append(c.batch[:0], c.queue[:take]...)
 		rest := copy(c.queue, c.queue[take:])
 		for i := rest; i < len(c.queue); i++ {

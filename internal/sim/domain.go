@@ -8,13 +8,16 @@
 //
 // Two configurations cover the repository's needs:
 //
-//   - Shared domain (experiment/replay mode): every subsystem is built on one
-//     Engine and a single driver runs it directly. Event interleaving across
-//     tenant-groups is globally ordered, so same-seed runs are byte-identical.
+//   - Shared domain (experiment mode): every subsystem is built on one
+//     Engine. Event interleaving across tenant-groups is globally ordered, so
+//     same-seed runs are byte-identical down to the telemetry stream.
 //   - Domain per tenant-group (service mode): each group's MPPDBs, router,
 //     monitor, and scaling run against their own Engine. Requests touching
 //     different groups proceed fully in parallel; each domain is paced
 //     against the wall clock independently.
+//
+// Replay drives either layout the same way: one loop per domain, the
+// domains advancing concurrently.
 package sim
 
 import (
@@ -35,7 +38,7 @@ type Domain struct {
 
 // NewDomain wraps the engine in a domain. The engine must not be driven
 // directly by another goroutine afterwards; a single-threaded driver that
-// owns the engine exclusively (the replay/experiment path) may keep using it
+// owns the engine exclusively (an experiment's own loop) may keep using it
 // directly, in which case the domain's mirror is refreshed the next time the
 // domain is entered.
 func NewDomain(eng *Engine) *Domain {
@@ -77,8 +80,8 @@ func (d *Domain) Advance(target Time, fn func(*Engine)) {
 }
 
 // Do runs fn with exclusive engine access without advancing the clock first.
-// Batch drivers (parallel replay) use it to schedule a whole window of events
-// before driving the domain with Advance.
+// Replay uses it to schedule a window's events before driving the domain
+// with Advance.
 func (d *Domain) Do(fn func(*Engine)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

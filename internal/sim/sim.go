@@ -169,37 +169,6 @@ func (e *Engine) CancelOwned(ev *Event) {
 	e.release(ev)
 }
 
-// TimedFunc is one entry of a ScheduleBatch bulk insertion.
-type TimedFunc struct {
-	At Time
-	Fn func(now Time)
-}
-
-// ScheduleBatch inserts a whole batch of events at once: every entry is
-// appended to the queue and the heap property is re-established with one
-// heap.Init — O(n + m) for n new events over m pending, versus the
-// O(n log(n+m)) of push-per-event. Entries fire in (time, batch order),
-// exactly as if scheduled one by one; the events are engine-owned (no
-// handles are returned) and recycle through the freelist after firing.
-// Replay uses this to materialize a full window of query submissions in one
-// shot.
-func (e *Engine) ScheduleBatch(batch []TimedFunc) {
-	if len(batch) == 0 {
-		return
-	}
-	for _, tf := range batch {
-		if tf.At < e.now {
-			panic(fmt.Sprintf("sim: schedule at %v before now %v", tf.At, e.now))
-		}
-		e.seq++
-		ev := e.acquire()
-		ev.at, ev.seq, ev.fn = tf.At, e.seq, tf.Fn
-		ev.index = len(e.queue)
-		e.queue = append(e.queue, ev)
-	}
-	heap.Init(&e.queue)
-}
-
 // acquire pops a recycled event from the freelist (or allocates one) and
 // marks it owned.
 func (e *Engine) acquire() *Event {

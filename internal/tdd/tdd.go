@@ -85,49 +85,9 @@ func (p Placement) Hosts(tenant string) bool {
 	return false
 }
 
-// MPPDBState is the router's view of one MPPDB at routing time.
-type MPPDBState interface {
-	// Busy reports whether the MPPDB is executing any query.
-	Busy() bool
-	// TenantRunning returns the number of queries the given tenant
-	// currently has executing on this MPPDB.
-	TenantRunning(tenant string) int
-}
-
-// Route implements Algorithm 1 against the live states of a tenant-group's
-// A MPPDBs (index 0 is the tuning MPPDB G₀). It returns the index of the
-// MPPDB the query must go to:
-//
-//  1. if the tenant already has queries running on some MPPDB, follow them
-//     (tenant affinity — one MPPDB serves all of an active tenant's
-//     concurrent queries until it goes inactive);
-//  2. otherwise prefer a free G₀;
-//  3. otherwise any free MPPDB;
-//  4. otherwise G₀, accepting concurrent processing (this is the overload
-//     path whose pain the administrator can tune away by raising U, §6).
-func Route(tenant string, dbs []MPPDBState) (int, error) {
-	if len(dbs) == 0 {
-		return 0, fmt.Errorf("tdd: no MPPDBs to route to")
-	}
-	for i, db := range dbs {
-		if db.TenantRunning(tenant) > 0 {
-			return i, nil // line 2: follow the tenant's in-flight queries
-		}
-	}
-	if !dbs[0].Busy() {
-		return 0, nil // line 5: the tuning MPPDB is free
-	}
-	for i := 1; i < len(dbs); i++ {
-		if !dbs[i].Busy() {
-			return i, nil // line 8: any free MPPDB
-		}
-	}
-	return 0, nil // line 10: concurrent processing on G₀
-}
-
-// MPPDBStateRef is the interned-handle view of one MPPDB at routing time:
-// the tenant is identified by its dense group-local Ref instead of a string,
-// so the in-flight check is a slice index rather than a map hash.
+// MPPDBStateRef is the router's view of one MPPDB at routing time. The
+// tenant is identified by its dense group-local Ref, so the in-flight check
+// is a slice index rather than a map hash.
 type MPPDBStateRef interface {
 	// Busy reports whether the MPPDB is executing any query.
 	Busy() bool
@@ -136,9 +96,17 @@ type MPPDBStateRef interface {
 	RefRunning(ref tenant.Ref) int
 }
 
-// RouteRef is Route (Algorithm 1) over interned tenant handles. The decision
-// sequence is byte-for-byte identical to Route; only the tenant lookup
-// changes representation.
+// RouteRef implements Algorithm 1 against the live states of a
+// tenant-group's A MPPDBs (index 0 is the tuning MPPDB G₀). It returns the
+// index of the MPPDB the query must go to:
+//
+//  1. if the tenant already has queries running on some MPPDB, follow them
+//     (tenant affinity — one MPPDB serves all of an active tenant's
+//     concurrent queries until it goes inactive);
+//  2. otherwise prefer a free G₀;
+//  3. otherwise any free MPPDB;
+//  4. otherwise G₀, accepting concurrent processing (this is the overload
+//     path whose pain the administrator can tune away by raising U, §6).
 func RouteRef(ref tenant.Ref, dbs []MPPDBStateRef) (int, error) {
 	if len(dbs) == 0 {
 		return 0, fmt.Errorf("tdd: no MPPDBs to route to")

@@ -1,18 +1,27 @@
 package tdd
 
-import "testing"
+import (
+	"testing"
 
-// fakeDB implements MPPDBState for routing tests.
+	"repro/internal/tenant"
+)
+
+// ids interns the tenant names the routing tests use.
+var ids = tenant.NewInterner()
+
+func ref(id string) tenant.Ref { return ids.Intern(id) }
+
+// fakeDB implements MPPDBStateRef for routing tests.
 type fakeDB struct {
 	busy    bool
-	running map[string]int
+	running map[tenant.Ref]int
 }
 
-func (f *fakeDB) Busy() bool                      { return f.busy || len(f.running) > 0 }
-func (f *fakeDB) TenantRunning(tenant string) int { return f.running[tenant] }
+func (f *fakeDB) Busy() bool                  { return f.busy || len(f.running) > 0 }
+func (f *fakeDB) RefRunning(r tenant.Ref) int { return f.running[r] }
 
 func free() *fakeDB             { return &fakeDB{} }
-func busyWith(t string) *fakeDB { return &fakeDB{running: map[string]int{t: 1}} }
+func busyWith(t string) *fakeDB { return &fakeDB{running: map[tenant.Ref]int{ref(t): 1}} }
 
 func TestNewClusterDesign(t *testing.T) {
 	d, err := NewClusterDesign(3, 6, 0)
@@ -74,9 +83,9 @@ func TestPlacement(t *testing.T) {
 // 4.2 decision by decision.
 func TestRouteFollowsPaperWalkthrough(t *testing.T) {
 	db0, db1, db2 := free(), free(), free()
-	dbs := []MPPDBState{db0, db1, db2}
+	dbs := []MPPDBStateRef{db0, db1, db2}
 	route := func(tenant string) int {
-		i, err := Route(tenant, dbs)
+		i, err := RouteRef(ref(tenant), dbs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,19 +96,19 @@ func TestRouteFollowsPaperWalkthrough(t *testing.T) {
 	if got := route("T4"); got != 0 {
 		t.Fatalf("Q1 routed to %d, want 0", got)
 	}
-	db0.running = map[string]int{"T4": 1}
+	db0.running = map[tenant.Ref]int{ref("T4"): 1}
 
 	// Q2 by T2: MPPDB0 busy → free MPPDB1 (line 8).
 	if got := route("T2"); got != 1 {
 		t.Fatalf("Q2 routed to %d, want 1", got)
 	}
-	db1.running = map[string]int{"T2": 1}
+	db1.running = map[tenant.Ref]int{ref("T2"): 1}
 
 	// Q3 by T4 while Q1 still running → follow to MPPDB0 (line 2).
 	if got := route("T4"); got != 0 {
 		t.Fatalf("Q3 routed to %d, want 0", got)
 	}
-	db0.running["T4"] = 2
+	db0.running[ref("T4")] = 2
 
 	// Q4 by T2 while Q2 running → MPPDB1 (line 2).
 	if got := route("T2"); got != 1 {
@@ -110,14 +119,14 @@ func TestRouteFollowsPaperWalkthrough(t *testing.T) {
 	if got := route("T9"); got != 2 {
 		t.Fatalf("Q5 routed to %d, want 2", got)
 	}
-	db2.running = map[string]int{"T9": 1}
+	db2.running = map[tenant.Ref]int{ref("T9"): 1}
 
 	// T4 finishes Q1 and Q3; T1 submits Q6 → MPPDB0 free again (line 5).
 	db0.running = nil
 	if got := route("T1"); got != 0 {
 		t.Fatalf("Q6 routed to %d, want 0", got)
 	}
-	db0.running = map[string]int{"T1": 1}
+	db0.running = map[tenant.Ref]int{ref("T1"): 1}
 
 	// Q7 by T4 (its queries finished, so no affinity): MPPDB0 busy with T1,
 	// MPPDB1 busy with T2... in the thesis MPPDB1 had just become free and
@@ -126,7 +135,7 @@ func TestRouteFollowsPaperWalkthrough(t *testing.T) {
 	if got := route("T4"); got != 1 {
 		t.Fatalf("Q7 routed to %d, want 1", got)
 	}
-	db1.running = map[string]int{"T4": 1}
+	db1.running = map[tenant.Ref]int{ref("T4"): 1}
 
 	// Q8 by T1 — T1 is briefly inactive in the thesis but all other MPPDBs
 	// are busy, so Q8 still lands on MPPDB0... here T1's Q6 is still
@@ -139,8 +148,8 @@ func TestRouteFollowsPaperWalkthrough(t *testing.T) {
 func TestRouteOverloadGoesToTuningMPPDB(t *testing.T) {
 	// All MPPDBs busy with other tenants → line 10: concurrent processing
 	// on G₀.
-	dbs := []MPPDBState{busyWith("a"), busyWith("b"), busyWith("c")}
-	got, err := Route("d", dbs)
+	dbs := []MPPDBStateRef{busyWith("a"), busyWith("b"), busyWith("c")}
+	got, err := RouteRef(ref("d"), dbs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +161,8 @@ func TestRouteOverloadGoesToTuningMPPDB(t *testing.T) {
 func TestRouteAffinityBeatsFreeDB(t *testing.T) {
 	// Tenant has a query on MPPDB2; MPPDB0 is free. Affinity wins: the
 	// tenant's concurrent queries must share one MPPDB.
-	dbs := []MPPDBState{free(), free(), busyWith("t")}
-	got, err := Route("t", dbs)
+	dbs := []MPPDBStateRef{free(), free(), busyWith("t")}
+	got, err := RouteRef(ref("t"), dbs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +172,7 @@ func TestRouteAffinityBeatsFreeDB(t *testing.T) {
 }
 
 func TestRouteErrors(t *testing.T) {
-	if _, err := Route("t", nil); err == nil {
+	if _, err := RouteRef(ref("t"), nil); err == nil {
 		t.Error("routing with no MPPDBs accepted")
 	}
 }
@@ -171,8 +180,8 @@ func TestRouteErrors(t *testing.T) {
 func TestRouteBusyFlagWithoutRunningMap(t *testing.T) {
 	// A loading/hibernating DB can present Busy()==true with no running
 	// queries; the router must skip it.
-	dbs := []MPPDBState{&fakeDB{busy: true}, free()}
-	got, err := Route("t", dbs)
+	dbs := []MPPDBStateRef{&fakeDB{busy: true}, free()}
+	got, err := RouteRef(ref("t"), dbs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,9 +185,11 @@ type DeployOptions struct {
 	MonitorWindow time.Duration
 	// Sharded gives each tenant-group a private engine and clock domain:
 	// the service path handles submits to different groups fully in
-	// parallel, and Replay drives groups concurrently. Leave false for
-	// experiments — the shared domain keeps event interleaving globally
-	// ordered, so same-seed runs are byte-identical.
+	// parallel, and Replay advances groups concurrently with the same
+	// records and samples a shared deployment of the seed gives. Leave
+	// false for fault injectors and the online loop, which need one
+	// domain, and wherever the cross-group order of telemetry events must
+	// repeat run to run.
 	Sharded bool
 	// Recovery arms an autonomous recovery controller per tenant-group
 	// (§4.4): a heartbeat failure detector plus replacement acquisition,
@@ -371,15 +373,12 @@ type ScalerConfig = scaling.Config
 // guarantee and replication factor.
 func DefaultScalerConfig(p float64, r int) ScalerConfig { return scaling.DefaultConfig(p, r) }
 
-// Replay drives the system with its workload's logged queries. A shared
-// deployment is driven on its one engine (deterministic, byte-identical per
-// seed); a sharded one replays every tenant-group in parallel on its own
-// clock domain with a deterministic merge of the resulting records.
+// Replay drives the system with its workload's logged queries, one loop
+// per clock domain (see replay.Run): a shared deployment runs on its one
+// engine, a sharded one advances every tenant-group concurrently. Either
+// way the report is deterministic per seed, with records in group order.
 func (s *System) Replay(opts ReplayOptions) (*ReplayReport, error) {
-	if s.Deployment.Sharded() {
-		return replay.RunParallel(s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
-	}
-	return replay.Run(s.Engine, s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
+	return replay.Run(s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
 }
 
 // ServeOptions configures the HTTP front end.
@@ -397,12 +396,6 @@ type ServeOptions struct {
 	SubmitBackoff time.Duration
 	// SubmitTimeout is the virtual-time budget per submit (default 5 min).
 	SubmitTimeout time.Duration
-	// DisableCoalesce turns off server-side coalescing of concurrent single
-	// submits into shard-local batches (on by default).
-	DisableCoalesce bool
-	// MaxBatch caps how many coalesced submits one batched routing call
-	// takes (default 64).
-	MaxBatch int
 }
 
 // Handler returns the MPPDBaaS HTTP API over the system. Deploy with
@@ -411,13 +404,11 @@ type ServeOptions struct {
 // GET /v1/online and GET /v1/reconsolidation.
 func (s *System) Handler(opts ServeOptions) (http.Handler, error) {
 	srv, err := service.New(s.Deployment, s.Workload.Catalog, s.Plan, service.Config{
-		TimeScale:       opts.TimeScale,
-		DisableMetrics:  opts.DisableMetrics,
-		SubmitRetries:   opts.SubmitRetries,
-		SubmitBackoff:   opts.SubmitBackoff,
-		SubmitTimeout:   opts.SubmitTimeout,
-		DisableCoalesce: opts.DisableCoalesce,
-		MaxBatch:        opts.MaxBatch,
+		TimeScale:      opts.TimeScale,
+		DisableMetrics: opts.DisableMetrics,
+		SubmitRetries:  opts.SubmitRetries,
+		SubmitBackoff:  opts.SubmitBackoff,
+		SubmitTimeout:  opts.SubmitTimeout,
 	})
 	if err != nil {
 		return nil, err
